@@ -33,7 +33,7 @@ main()
         suiteAverageCpiTable(sizes, allConfigs(), jobs,
                              cache.options()));
     // Streamed enumeration (exec/pipeline.hh); identical point order
-    // and values to the flat enumerateParallel.
+    // and values to the serial enumerate().
     const DseStreamResult stream = dse.enumerateStreamed(jobs);
 
     double min_e = 1e30, max_e = 0.0, min_d = 1e30, max_d = 0.0;

@@ -256,7 +256,8 @@ BENCHMARK(BM_Fig5MatrixSweepCached)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The full 32-config DSE enumeration, serial vs parallel.
+// The full 32-config DSE enumeration on the streaming pipeline,
+// serial vs parallel.
 void
 BM_DseEnumerate(benchmark::State &state)
 {
@@ -266,7 +267,7 @@ BM_DseEnumerate(benchmark::State &state)
     const DesignSpace dse(std::move(table));
     const unsigned jobs = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
-        const auto points = dse.enumerateParallel(jobs);
+        const auto points = dse.enumerateStreamed(jobs).points;
         benchmark::DoNotOptimize(points.data());
         state.counters["points"] = static_cast<double>(points.size());
     }
@@ -277,38 +278,29 @@ BENCHMARK(BM_DseEnumerate)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The Figure 5 matrix on the streaming pipeline vs the flat barrier
-// (both at hardware concurrency). Arg 0 = pipeline, Arg 1 = flat; the
-// delta is the pipeline's win from overlapping the in-order sink with
-// simulation (plus the cost of its windowed hand-off).
+// The Figure 5 matrix on the streaming pipeline at hardware
+// concurrency.
 void
 BM_Fig5MatrixPipelined(benchmark::State &state)
 {
     const auto suite = allWorkloads(WorkloadSizes::small());
     const auto configs = figure5Configs();
-    const bool flat = state.range(0) != 0;
     for (auto _ : state) {
-        const CycleMatrix matrix =
-            flat ? runCycleMatrixFlat(suite, configs, {}, 0)
-                 : runCycleMatrixStreamed(suite, configs, {}, 0,
-                                          CycleMatrixSink{});
+        const CycleMatrix matrix = runCycleMatrixStreamed(
+            suite, configs, {}, 0, CycleMatrixSink{});
         benchmark::DoNotOptimize(matrix.runs.data());
         state.counters["runs"] = static_cast<double>(matrix.runs.size());
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(suite.size()) *
                             static_cast<std::int64_t>(configs.size()));
-    state.SetLabel(flat ? "flat barrier" : "pipeline");
 }
 BENCHMARK(BM_Fig5MatrixPipelined)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // The full 32-config DSE on the streaming pipeline with the
-// incremental Pareto frontier maintained in the sink, vs
-// BM_DseEnumerate Arg(0) (flat barrier + batch frontier afterwards).
+// incremental Pareto frontier maintained in the sink.
 void
 BM_DseStreamed(benchmark::State &state)
 {
@@ -326,40 +318,6 @@ BM_DseStreamed(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DseStreamed)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// The Figure 5 matrix with N configs advanced in lockstep per
-// BatchedFabric task (--batch N) vs the scalar streamed pipeline
-// (Arg 0), both cold and at hardware concurrency. Batching trades
-// per-cell task dispatch for one fused task per (config group,
-// workload); the win shows up on multi-core hosts where fewer, larger
-// tasks keep the pool fed — on a single-CPU host expect parity or a
-// small cache-locality penalty (docs/batched_sim.md).
-void
-BM_Fig5MatrixBatched(benchmark::State &state)
-{
-    const auto suite = allWorkloads(WorkloadSizes::small());
-    const auto configs = figure5Configs();
-    CycleRunOptions options;
-    options.batch = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        const CycleMatrix matrix = runCycleMatrixStreamed(
-            suite, configs, options, 0, CycleMatrixSink{});
-        benchmark::DoNotOptimize(matrix.runs.data());
-        state.counters["runs"] = static_cast<double>(matrix.runs.size());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(suite.size()) *
-                            static_cast<std::int64_t>(configs.size()));
-    state.SetLabel(options.batch > 1
-                       ? "batch " + std::to_string(options.batch)
-                       : "scalar");
-}
-BENCHMARK(BM_Fig5MatrixBatched)
-    ->Arg(0)
-    ->Arg(8)
-    ->Arg(24)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 } // namespace
 

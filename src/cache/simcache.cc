@@ -128,7 +128,7 @@ SimCache::getOrCompute(const Digest128 &key,
     if (auto it = entries_.find(key); it != entries_.end()) {
         ++stats_.hits;
         std::string payload = it->second;
-        if (verifyHits_) {
+        if (verifyOnHit_) {
             // Recompute without the lock — verification costs a full
             // simulation and must not serialize other cache users.
             lock.unlock();
@@ -196,19 +196,6 @@ SimCache::lookup(const Digest128 &key)
     }
     ++stats_.misses;
     return std::nullopt;
-}
-
-void
-SimCache::verifyHit(const Digest128 &key, const std::string &cached,
-                    const std::string &fresh)
-{
-    fatalIf(fresh != cached, "cache verify failed for key ", key.hex(),
-            ": cached payload (", cached.size(),
-            " bytes) differs from a fresh computation (", fresh.size(),
-            " bytes); the key schema is missing an input or the "
-            "cache file is stale");
-    std::lock_guard lock(mutex_);
-    ++stats_.verifiedHits;
 }
 
 std::optional<std::string>

@@ -83,8 +83,7 @@ class SimCache
      * (`--cache-verify`). A mismatch is a FatalError: it means either
      * the key schema misses an input or the cache file lied.
      */
-    void setVerifyHits(bool verify) { verifyHits_ = verify; }
-    bool verifyHits() const { return verifyHits_; }
+    void setVerifyHits(bool verify) { verifyOnHit_ = verify; }
 
     /**
      * The core operation: return the payload for @p key, invoking
@@ -104,29 +103,16 @@ class SimCache
     std::optional<std::string> peek(const Digest128 &key) const;
 
     /**
-     * Counted probe for callers that compute outside the cache — the
-     * batched sweep path (workloads/runner.cc) probes every lane of a
-     * batch up front, simulates the misses together in one
-     * BatchedFabric, then put()s the fresh payloads. Counts exactly
-     * one lookup and one hit or miss, preserving the
-     * hits + misses + coalesced == lookups identity (the batched
-     * matrix never issues the same key twice, so there is no
-     * single-flight leg; the miss is counted here, at claim, whether
-     * or not a put() follows — mirroring a leader whose computation
-     * throws). Verify-hits mode does not recompute here: the caller
-     * simulates the hit lanes too and calls verifyHit().
+     * Counted probe for callers that compute outside the cache and
+     * put() the result themselves (the per-layer benchmark helper
+     * perfbench/tia_perfbench.cc times lookup, simulate, encode and
+     * put as separate spans). Counts exactly one lookup and one hit or
+     * miss, preserving the hits + misses + coalesced == lookups
+     * identity; the miss is counted here, at claim, whether or not a
+     * put() follows — mirroring a leader whose computation throws.
+     * There is no single-flight leg and no verify-hits recomputation.
      */
     std::optional<std::string> lookup(const Digest128 &key);
-
-    /**
-     * Compare a fresh recomputation against the payload a lookup()
-     * hit returned, completing the verify-hits contract on the
-     * batched path: FatalError on any byte difference (same failure
-     * and message as getOrCompute verification), otherwise counts a
-     * verified hit.
-     */
-    void verifyHit(const Digest128 &key, const std::string &cached,
-                   const std::string &fresh);
 
     /** Insert or overwrite an entry directly. */
     void put(const Digest128 &key, std::string payload);
@@ -191,7 +177,7 @@ class SimCache
     std::map<Digest128, std::string> entries_;
     std::map<Digest128, std::shared_ptr<InFlight>> pending_;
     Stats stats_;
-    bool verifyHits_ = false;
+    bool verifyOnHit_ = false;
     /** Mutation generation; bumped on every entry change (dirty-skip). */
     std::uint64_t generation_ = 0;
     /** Generation the file at savedPath_ is known to hold. */

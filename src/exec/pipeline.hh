@@ -6,11 +6,18 @@
  * SweepEngine::map is a flat job pool with a full-matrix barrier: no
  * consumer sees a result until the last task finishes. The pipeline
  * removes that barrier. The calling thread plays the two serial
- * stages — it submits task indices in order (bounded by an in-flight
- * window, like TBB's token cap) and, between submissions, waits for
- * the *next-in-order* result and hands it to the sink. Aggregation,
- * JSON assembly, Pareto-frontier maintenance and cache-save I/O in
- * the sink therefore overlap simulation instead of trailing it.
+ * stages — it submits task indices in order and, between
+ * submissions, waits for the *next-in-order* result and hands it to
+ * the sink. Aggregation, JSON assembly, Pareto-frontier maintenance
+ * and cache-save I/O in the sink therefore overlap simulation instead
+ * of trailing it.
+ *
+ * Run-ahead is bounded (an in-flight window, like TBB's token cap)
+ * only when the caller can stop the generator early: then the window
+ * caps the work wasted past the stop. Without a generator stop every
+ * index is submitted up front. A window would only throttle — one slow
+ * task at the head of the in-order sink stalls every worker behind it
+ * — and bounds no memory, since the matrix callers keep every result.
  *
  * Guarantees, pinned by tests/test_sweep_pipeline.cc:
  *
@@ -23,10 +30,11 @@
  *  - **Fail-fast**: tasks get a StopToken from an internal fail-fast
  *    source (same convention as SweepEngine::map — fn may be
  *    fn(i) or fn(i, cancel)). The first exception — from a task or
- *    from the sink — stops generation, cancels in-flight siblings,
- *    drains, and is rethrown (the lowest-index one, matching serial
- *    order among tasks that ran). After a failure no further results
- *    are sunk.
+ *    from the sink — cancels in-flight siblings (and, in a bounded
+ *    run, stops generation), drains, and the lowest-index exception
+ *    is rethrown: a tokenless task is skipped only when a lower index
+ *    has already failed. After a failure no further results are
+ *    sunk.
  *  - **Early exit**: a caller-supplied generatorStop token stops the
  *    *generator* stage only. Indices already submitted still simulate
  *    and are sunk in order, so the sink always observes a contiguous
@@ -125,10 +133,12 @@ class SweepPipeline
             return result;
         }
 
-        // In-flight window: enough tokens to keep every worker busy
-        // while the caller sinks, small enough to bound live results.
+        // In-flight window. With a generator stop: enough tokens to
+        // keep every worker busy while the caller sinks, few enough
+        // that little work runs past the stop. Without one: no bound.
+        const bool bounded = generatorStop.possible();
         const std::size_t window =
-            std::max<std::size_t>(2 * result.jobs, 4);
+            bounded ? std::max<std::size_t>(2 * result.jobs, 4) : count;
 
         struct Slot
         {
@@ -141,7 +151,17 @@ class SweepPipeline
         std::condition_variable slotDone;
         StopSource failFast;
         const StopToken cancel = failFast.token();
-        std::atomic<bool> failed{false};
+        // Lowest failed index (count = none). A tokenless task is
+        // skipped only when an earlier index has failed, so the
+        // lowest-index exception is raised whatever order tasks run in.
+        std::atomic<std::size_t> firstFailed{count};
+        const auto noteFailure = [&](std::size_t i) {
+            std::size_t seen = firstFailed.load(std::memory_order_relaxed);
+            while (i < seen && !firstFailed.compare_exchange_weak(
+                                   seen, i, std::memory_order_relaxed)) {
+            }
+            failFast.requestStop();
+        };
         // (index, error) in discovery order; rethrow the lowest index.
         std::vector<std::pair<std::size_t, std::exception_ptr>> errors;
 
@@ -152,11 +172,16 @@ class SweepPipeline
 
             while (next < count) {
                 // Serial generator stage: top up the window in order.
+                // Only a bounded run stops generating at a failure; an
+                // unbounded one submits every index up front, like
+                // SweepEngine::map, so every token-aware sibling of a
+                // failed task observes the fail-fast token.
                 while (submitted < count &&
                        submitted - next < window &&
-                       !failed.load(std::memory_order_relaxed) &&
-                       !(generatorStop.possible() &&
-                         generatorStop.stopRequested())) {
+                       !(bounded &&
+                         (firstFailed.load(std::memory_order_relaxed) <
+                              count ||
+                          generatorStop.stopRequested()))) {
                     const std::size_t i = submitted++;
                     pool.submit([&, i] {
                         Slot &slot = slots[i % window];
@@ -165,15 +190,14 @@ class SweepPipeline
                                               Fn &, std::size_t,
                                               StopToken>) {
                                 slot.value.emplace(fn(i, cancel));
-                            } else if (!failed.load(
-                                           std::memory_order_relaxed)) {
+                            } else if (firstFailed.load(
+                                           std::memory_order_relaxed) >
+                                       i) {
                                 slot.value.emplace(fn(i));
                             }
                         } catch (...) {
                             slot.error = std::current_exception();
-                            failed.store(true,
-                                         std::memory_order_relaxed);
-                            failFast.requestStop();
+                            noteFailure(i);
                         }
                         {
                             std::lock_guard<std::mutex> lock(mutex);
@@ -200,8 +224,7 @@ class SweepPipeline
                     } catch (...) {
                         errors.emplace_back(next,
                                             std::current_exception());
-                        failed.store(true, std::memory_order_relaxed);
-                        failFast.requestStop();
+                        noteFailure(next);
                     }
                 }
                 // Safe to reset without the lock: the worker is done

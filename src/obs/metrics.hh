@@ -100,12 +100,10 @@ JsonValue resolutionMetricsJson(std::uint64_t incrementalSkips,
  * Validate a parsed document against the tia-metrics/v1 schema and the
  * counter-integrity invariants. Optional root blocks are checked when
  * present: "cache" (SimCache stats: hits + misses + coalesced ==
- * lookups, verified <= hits), "sweep" (batched lockstep accounting:
- * hits + misses == lanes, misses <= simulated <= lanes, verified <=
- * hits, cancelled <= simulated; plus the trigger-resolution aggregate
- * "resolution": incremental_skips + full_resolves == triggers_resolved
- * — the same identity is checked on each run's "resolution" entry)
- * and "server" (tia-serve accounting
+ * lookups, verified <= hits), "sweep" (the required trigger-resolution
+ * aggregate "resolution": incremental_skips + full_resolves ==
+ * triggers_resolved — the same identity is checked on each run's
+ * "resolution" entry) and "server" (tia-serve accounting
  * identities: received == admitted + shed + rejected, admitted ==
  * completed + cancelled + failed + active + queue_depth, ordered
  * latency percentiles). A document carrying a "server" block may have

@@ -104,20 +104,18 @@ struct PerfCounters
 };
 
 /**
- * Host-side trigger-resolution accounting (docs/batched_sim.md): how
- * many scheduler verdicts were computed in full (queue status words +
+ * Host-side trigger-resolution accounting (docs/perf.md): how many
+ * scheduler verdicts were computed in full (queue status words +
  * descriptor scan) versus replayed from the dirty-queue incremental
  * cache. Not an attribution bucket — architectural results are
  * bit-identical whichever way a verdict was obtained — so this lives
- * outside PerfCounters and its cycles identity. A verdict resolved by
- * the batched SoA bitplane kernel counts as a full resolve on the lane
- * that consumed it, keeping scalar and batched counts identical.
+ * outside PerfCounters and its cycles identity.
  */
 struct ResolutionStats
 {
     /** Verdicts replayed unchanged (no watched queue/predicate delta). */
     std::uint64_t incrementalSkips = 0;
-    /** Verdicts computed from (possibly memoized) queue status. */
+    /** Verdicts computed from the live queue status. */
     std::uint64_t fullResolves = 0;
 
     /** Total trigger-resolution decisions (the checker identity). */

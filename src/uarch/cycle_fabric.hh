@@ -38,7 +38,6 @@
 #define TIA_UARCH_CYCLE_FABRIC_HH
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/program.hh"
@@ -106,34 +105,6 @@ class CycleFabric
     void step();
 
     /**
-     * Staged form of step() for the batched SoA trigger-resolution
-     * kernel (uarch/batched_fabric.cc): cycle-start events, per-PE
-     * work pass, per-PE issue/advance, cycle-end events. Calling the
-     * four in order is bit-identical to step() — the scalar path keeps
-     * its fused single pass over the active list purely for locality.
-     * Between stepPeWork() and stepPeIssue() every active PE's
-     * scheduler inputs for this cycle are final (pops and pushes
-     * performed by the work pass preserve the pending-accounted view),
-     * which is the window the kernel gathers and seeds verdicts in.
-     */
-    void beginCycleEvents();
-    void stepPeWork();
-    void stepPeIssue();
-    void endCycleEvents();
-
-  private:
-    /**
-     * Always-inline bodies behind beginCycleEvents/endCycleEvents, so
-     * the fused step() keeps both compiled into its own loop body (the
-     * out-of-line calls measurably slowed the scalar hot path) while
-     * the staged batched entry points stay exported.
-     */
-    void beginCycleEventsImpl();
-    void endCycleEventsImpl();
-
-  public:
-
-    /**
      * Run until every PE halts, the fabric goes quiescent (no retire
      * or agent activity for the quiescence window), or the cycle
      * budget elapses. Quiescent and step-limit endings are diagnosed:
@@ -142,58 +113,6 @@ class CycleFabric
      * Livelock. hangReport() carries the full diagnosis.
      */
     RunStatus run(const FabricRunOptions &options);
-
-    /**
-     * Resumable form of the run() control loop: each advance() call
-     * performs exactly one loop iteration (budget check, stop poll,
-     * all-halted check, step, progress/quiescence accounting) and
-     * reports the final status once the run ends. run() is a plain
-     * loop over advance(); BatchedFabric (batched_fabric.hh)
-     * interleaves advance() across lanes so a batched lane executes
-     * this exact code path — bit-identity with the scalar path is
-     * structural, not re-proved per change.
-     */
-    class RunCursor
-    {
-      public:
-        RunCursor(CycleFabric &fabric, const FabricRunOptions &options);
-
-        /**
-         * One loop iteration. Returns the run's final status once the
-         * fabric halts, is cancelled, goes quiescent or exhausts its
-         * cycle budget (hangReport() carries the diagnosis), nullopt
-         * while the run is still in flight.
-         */
-        std::optional<RunStatus>
-        advance()
-        {
-            if (const auto status = beginAdvance())
-                return status;
-            fabric_.step();
-            return finishAdvance();
-        }
-
-        /**
-         * The halves of advance() around the step, so BatchedFabric
-         * can interleave the staged step() across lanes: beginAdvance
-         * performs the pre-step checks (budget, stop poll, all-halted)
-         * and returns the final status if the run is over before
-         * stepping; finishAdvance performs the post-step progress and
-         * quiescence accounting. advance() is exactly beginAdvance +
-         * step + finishAdvance.
-         */
-        std::optional<RunStatus> beginAdvance();
-        std::optional<RunStatus> finishAdvance();
-
-      private:
-        CycleFabric &fabric_;
-        FabricRunOptions options_;
-        std::uint64_t lastRetired_;
-        std::uint64_t lastEvents_;
-        Cycle lastActivity_;
-        Cycle lastProgress_;
-        Cycle nextStopCheck_;
-    };
 
     /** Convenience overload with the historical signature. */
     RunStatus
@@ -306,12 +225,6 @@ class CycleFabric
         return total;
     }
 
-    /** The PEs currently stepping (awake, unhalted), for the kernel. */
-    const std::vector<unsigned> &activePes() const { return activePes_; }
-
-    /** Direct PE access without wake/settle (batched kernel only). */
-    PipelinedPe &peRaw(unsigned index) { return *pes_[index]; }
-
   private:
     bool anyActivity() const;
 
@@ -368,19 +281,10 @@ class CycleFabric
     /** Cycle of each PE's last executed (or accounted) step. */
     mutable std::vector<Cycle> sleepSince_;
     /**
-     * One wake/invalidate subscription: a PE whose triggers watch a
-     * channel, with the PE-side port bits the channel is bound to, so
-     * a dirty channel marks exactly those queue status bits stale in
-     * the PE's resolution cache.
+     * Channel -> PEs whose triggers watch it (wake + verdict-cache
+     * invalidate subscriptions).
      */
-    struct ChannelWatcher
-    {
-        unsigned pe;
-        std::uint32_t inPorts;  ///< Watched input ports fed by the channel.
-        std::uint32_t outPorts; ///< Watched output ports into the channel.
-    };
-    /** Channel -> watchers (wake + cache-invalidate subscriptions). */
-    std::vector<std::vector<ChannelWatcher>> channelPes_;
+    std::vector<std::vector<unsigned>> channelPes_;
     /** PE -> channels its triggers watch (inverse subscriptions). */
     std::vector<std::vector<unsigned>> peChannels_;
     /** PEs whose park decision is pending until the cycle ends. */
@@ -401,9 +305,6 @@ class CycleFabric
     // Host-side statistics.
     std::uint64_t stepsExecuted_ = 0;
     mutable std::uint64_t stepsSkipped_ = 0;
-
-    /** Per-PE retired count at stepPeWork entry (staged mode only). */
-    std::vector<std::uint64_t> retiredAtWork_;
 
     // Observability (optional, non-owning). Last on purpose: the hot
     // step loop touches the members above every cycle, and inserting

@@ -130,23 +130,8 @@ class PipelinedPe
     /** Diagnose what (if anything) this PE is blocked on. */
     PeWaitInfo queueWaits() const;
 
-    /**
-     * Advance one clock cycle. No-op once halted. Defined out of line
-     * so the fused scalar path compiles both halves into one body —
-     * the un-fused header version measurably slowed the hot loop.
-     */
+    /** Advance one clock cycle. No-op once halted. */
     void step();
-
-    /**
-     * The two halves of step(), exposed so BatchedFabric can run its
-     * SoA trigger-resolution kernel between every lane's work pass and
-     * issue phase (docs/batched_sim.md). Callers must pair them, in
-     * order, and must not call either on a halted PE; a halt retiring
-     * inside stepWork() still requires the matching stepIssue() —
-     * exactly what the fused step() does.
-     */
-    void stepWork();
-    void stepIssue();
 
     /**
      * True when stepping this PE again with unchanged queue status
@@ -187,87 +172,30 @@ class PipelinedPe
     //
     // With the cache armed (CycleFabric arms it when no fault injector
     // is installed — stuck-status fault windows open without queue
-    // events), the PE memoizes its per-queue scheduler status words and
-    // the last trigger verdict, and only re-resolves when a watched
-    // queue or a predicate input changed. Every invalidation source is
-    // a queue event (fabric-notified via noteQueuesDirty) or a PE-local
-    // state change (issue/writeback/commit sites). Dirty-tracking
-    // invariants are documented in docs/batched_sim.md.
+    // events), the PE memoizes its last wait verdict and replays it
+    // until a watched queue or a predicate input changes. Every
+    // invalidation source is a queue event (fabric-notified via
+    // invalidateResolution) or a PE-local state change (issue,
+    // writeback and commit sites). The dirty-tracking invariants are
+    // documented in docs/perf.md.
 
     /**
      * Arm or disarm the resolution cache. Disarmed (the default —
-     * standalone PEs have no fabric feeding them queue-dirty events)
-     * every resolution recomputes status words in full, exactly the
-     * pre-cache behaviour. Arming is refused for instruction stores
-     * beyond 64 slots (the memo masks are one word).
+     * standalone PEs have no fabric feeding them queue events) every
+     * resolution recomputes in full.
      */
     void
     setResolutionCacheEnabled(bool enabled)
     {
-        resolutionCacheEnabled_ = enabled && triggerDescs_.size() <= 64;
-        resolutionValid_ = false;
-        dirtyInputs_ = usedInputs_;
-        dirtyOutputs_ = usedOutputs_;
-    }
-
-    /** True when the cache is armed (and the store fits the masks). */
-    bool resolutionCacheArmed() const { return resolutionCacheEnabled_; }
-
-    /**
-     * Fabric notification that watched queues changed: marks their
-     * status bits stale and drops the memoized verdict. @p inputs /
-     * @p outputs are this PE's port bits bound to the dirty channel.
-     */
-    void
-    noteQueuesDirty(std::uint32_t inputs, std::uint32_t outputs)
-    {
-        dirtyInputs_ |= inputs;
-        dirtyOutputs_ |= outputs;
+        resolutionCacheEnabled_ = enabled;
         resolutionValid_ = false;
     }
 
-    /** True while the memoized verdict is consumable as-is. */
-    bool resolutionValid() const { return resolutionValid_; }
-
     /**
-     * Refresh the memoized status words / per-descriptor queue-
-     * condition mask from the dirty-queue masks (no-op when clean).
-     * The batched kernel calls this before gathering a lane's status
-     * bits; the scalar path runs it lazily inside resolution.
+     * Fabric notification that a channel bound to one of this PE's
+     * watched ports saw a push or pop: drops the memoized verdict.
      */
-    void refreshResolutionInputs();
-
-    /**
-     * Install a verdict computed by the batched SoA kernel from this
-     * PE's own (refreshed) status bits. Consumed exactly like a
-     * self-computed verdict; the first consumption counts as a full
-     * resolve so scalar and batched ResolutionStats stay identical.
-     */
-    void
-    seedResolution(ScheduleResult result)
-    {
-        cachedResolution_ = result;
-        resolutionValid_ = true;
-        resolutionSeededFull_ = true;
-    }
-
-    /** Memoized scheduler status (valid after refreshResolutionInputs). */
-    const QueueStatusWords &statusWords() const { return statusWords_; }
-
-    /** Bit i: descriptor i's queue conditions hold in statusWords(). */
-    std::uint64_t queueOkMask() const { return queueOkMask_; }
-
-    /** Compiled trigger descriptors (batched-kernel compilation). */
-    const std::vector<TriggerDesc> &triggerDescs() const
-    {
-        return triggerDescs_;
-    }
-
-    /** Predicates with in-flight unresolved datapath writes. */
-    std::uint64_t pendingPredMask() const { return pendingPredMask_; }
-
-    /** Whether trigger resolution goes through the reference scheduler. */
-    bool usesReferenceScheduler() const { return referenceScheduler_; }
+    void invalidateResolution() { resolutionValid_ = false; }
 
     /** Host-side resolution accounting (counters.hh). */
     const ResolutionStats &resolutionStats() const { return resolution_; }
@@ -290,10 +218,6 @@ class PipelinedPe
 
   private:
     friend class CycleQueueView;
-
-    /** Always-inline bodies shared by step() and stepWork/stepIssue. */
-    void stepWorkImpl();
-    void stepIssueImpl();
 
     /** One instruction in flight. */
     struct InFlight
@@ -471,20 +395,7 @@ class PipelinedPe
     bool resolutionCacheEnabled_ = false;
     /** cachedResolution_ is a replayable verdict. */
     bool resolutionValid_ = false;
-    /** Verdict was installed by the batched kernel, not yet consumed. */
-    bool resolutionSeededFull_ = false;
     ScheduleResult cachedResolution_;
-    /** Watched queues whose memoized status bits are stale (bit/port). */
-    std::uint32_t dirtyInputs_ = 0;
-    std::uint32_t dirtyOutputs_ = 0;
-    /** Bit i: descriptor i's queue conditions hold in statusWords_. */
-    std::uint64_t queueOkMask_ = 0;
-    /** Memoized scheduler status, refreshed per dirty-queue masks. */
-    QueueStatusWords statusWords_{};
-    /** Input queue -> descriptors whose conditions read it (bit/slot). */
-    std::vector<std::uint64_t> inQueueDescs_;
-    /** Output queue -> descriptors whose conditions read it. */
-    std::vector<std::uint64_t> outQueueDescs_;
     ResolutionStats resolution_;
 
     // Observability (optional, non-owning). Last on purpose: keeps

@@ -5,7 +5,6 @@
 
 #include "core/logging.hh"
 #include "exec/pipeline.hh"
-#include "exec/sweep.hh"
 #include "vlsi/pareto.hh"
 #include "vlsi/timing.hh"
 
@@ -104,7 +103,21 @@ DesignSpace::gridSize(const std::vector<PeConfig> &configs) const
 std::vector<DesignPoint>
 DesignSpace::enumerate(const std::vector<PeConfig> &configs) const
 {
-    return enumerateParallel(1, configs);
+    std::vector<DesignPoint> points;
+    for (const PeConfig &config : configs) {
+        for (VtClass vt :
+             {VtClass::Low, VtClass::Standard, VtClass::High}) {
+            for (double vdd : supplyGrid(vt)) {
+                const double fmax = maxFrequencyMhz(config, vdd, vt, tech_);
+                for (double f : frequencyGridMhz(vt, vdd)) {
+                    if (f > fmax)
+                        break;
+                    points.push_back(evaluate(config, vt, vdd, f));
+                }
+            }
+        }
+    }
+    return points;
 }
 
 namespace {
@@ -137,36 +150,6 @@ dseShards(const std::vector<PeConfig> &configs)
 
 } // namespace
 
-std::vector<DesignPoint>
-DesignSpace::enumerateParallel(unsigned jobs,
-                               const std::vector<PeConfig> &configs) const
-{
-    const std::vector<DseShard> shards = dseShards(configs);
-
-    const SweepEngine engine(jobs);
-    auto sweep = engine.map(shards.size(), [&](std::size_t i) {
-        const DseShard &shard = shards[i];
-        std::vector<DesignPoint> points;
-        const double fmax =
-            maxFrequencyMhz(*shard.config, shard.vdd, shard.vt, tech_);
-        for (double f : frequencyGridMhz(shard.vt, shard.vdd)) {
-            if (f > fmax)
-                break;
-            points.push_back(
-                evaluate(*shard.config, shard.vt, shard.vdd, f));
-        }
-        return points;
-    });
-
-    std::vector<DesignPoint> points;
-    for (std::vector<DesignPoint> &shard_points : sweep.values) {
-        points.insert(points.end(),
-                      std::make_move_iterator(shard_points.begin()),
-                      std::make_move_iterator(shard_points.end()));
-    }
-    return points;
-}
-
 DseStreamResult
 DesignSpace::enumerateStreamed(unsigned jobs,
                                const std::vector<PeConfig> &configs,
@@ -179,7 +162,11 @@ DesignSpace::enumerateStreamed(unsigned jobs,
 
     IncrementalPareto pareto;
     std::size_t sinceChange = 0; // points sunk since last frontier change
+    // Only an early-exit run hands the pipeline a generator stop: a
+    // detached token lets every shard be in flight at once.
     StopSource earlyStop;
+    const StopToken generatorStop =
+        options.stableWindow != 0 ? earlyStop.token() : StopToken{};
 
     const SweepPipeline pipeline(jobs);
     const PipelineResult run = pipeline.run(
@@ -216,7 +203,7 @@ DesignSpace::enumerateStreamed(unsigned jobs,
                 sinceChange >= options.stableWindow)
                 earlyStop.requestStop();
         },
-        earlyStop.token());
+        generatorStop);
 
     result.frontier = pareto.frontier();
     result.frontierUpdates = pareto.updates();

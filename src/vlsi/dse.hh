@@ -111,28 +111,18 @@ class DesignSpace
 
     /**
      * Enumerate the full methodology grid over @p configs (all 32 by
-     * default), skipping points above timing closure.
+     * default), skipping points above timing closure: the serial
+     * reference loop nest (config, vt, vdd, frequency).
      */
     std::vector<DesignPoint>
     enumerate(const std::vector<PeConfig> &configs = allConfigs()) const;
 
     /**
-     * enumerate() fanned out over a SweepEngine, sharded by
-     * (config, vt, vdd); point order and values are element-wise
-     * identical to the serial enumerate().
-     * @param jobs worker threads (0 = hardware concurrency).
-     */
-    std::vector<DesignPoint>
-    enumerateParallel(unsigned jobs,
-                      const std::vector<PeConfig> &configs =
-                          allConfigs()) const;
-
-    /**
-     * enumerateParallel on the streaming SweepPipeline
-     * (exec/pipeline.hh) with an incremental Pareto frontier
-     * (vlsi/pareto.hh) maintained in the in-order sink. Point order
-     * and values are element-wise identical to enumerate() when the
-     * full grid runs; with DseStreamOptions::stableWindow set, the
+     * enumerate() sharded by (config, vt, vdd) on the streaming
+     * SweepPipeline (exec/pipeline.hh), with an incremental Pareto
+     * frontier (vlsi/pareto.hh) maintained in the in-order sink. Point
+     * order and values are element-wise identical to enumerate() when
+     * the full grid runs; with DseStreamOptions::stableWindow set, the
      * enumeration may stop early and @ref DseStreamResult::points
      * holds a contiguous shard prefix of the serial order (the
      * frontier is exact for the points evaluated).

@@ -676,6 +676,37 @@ TEST(ResolutionCache, FaultInjectionDisarmsIncrementalPath)
     EXPECT_GT(stats.fullResolves, 0u);
 }
 
+TEST(ResolutionCache, WorkloadRunStatsNonVacuousOverTable3Suite)
+{
+    // The counters WorkloadRun carries into the cache, the metrics
+    // documents and the benchmark, over the whole Table 3 x 32-uarch
+    // product: every run seeds with at least one full resolve, the
+    // cache skips somewhere, and each run's total matches a
+    // reference-scheduler rerun (which resolves everything in full).
+    const std::vector<Workload> workloads =
+        allWorkloads(WorkloadSizes::small());
+    const CycleRunOptions options;
+    CycleRunOptions reference;
+    reference.referenceScheduler = true;
+    std::uint64_t skips = 0;
+    for (const Workload &workload : workloads) {
+        for (const PeConfig &uarch : allConfigs()) {
+            const WorkloadRun run = runCycle(workload, uarch, options);
+            EXPECT_GT(run.resolutionFulls, 0u)
+                << workload.name << " / " << uarch.name();
+            skips += run.resolutionSkips;
+
+            const WorkloadRun ref = runCycle(workload, uarch, reference);
+            EXPECT_EQ(ref.resolutionSkips, 0u);
+            EXPECT_EQ(run.resolutionSkips + run.resolutionFulls,
+                      ref.resolutionFulls)
+                << workload.name << " / " << uarch.name();
+        }
+    }
+    EXPECT_GT(skips, 0u)
+        << "the incremental cache never skipped a re-resolution";
+}
+
 TEST(IdlePeSleep, MutatingAccessorWakesParkedPe)
 {
     // A parked PE whose predicates are changed externally must be

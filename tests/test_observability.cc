@@ -313,61 +313,50 @@ TEST(Observability, ValidatorRejectsBrokenCounters)
     EXPECT_TRUE(integrity) << problems.front();
 }
 
-TEST(Observability, ValidatorAcceptsBatchSweepBlock)
+/** A one-run document carrying @p sweep as its root "sweep" block. */
+std::vector<std::string>
+validateWithSweepBlock(JsonValue sweep)
 {
-    BatchStats stats;
-    stats.width = 8;
-    stats.groups = 4;
-    stats.lanes = 32;
-    stats.hits = 12;
-    stats.misses = 20;
-    stats.simulated = 26; // 20 misses + 6 verify-mode re-simulations
-    stats.verified = 6;
-    stats.cancelled = 2;
     MetricsRegistry registry("test");
     registry.addRun(JsonValue::parse(
         R"({"uarch": "TDX", "status": "halted", "cycles": 0,
             "pes": []})")
                         .value());
-    JsonValue sweep = JsonValue::object();
-    sweep["batch"] = batchStatsJson(stats);
     registry.root()["sweep"] = std::move(sweep);
-
     const auto doc = JsonValue::parse(registry.dump());
-    ASSERT_TRUE(doc.has_value());
-    const auto problems = validateMetricsDocument(*doc);
+    EXPECT_TRUE(doc.has_value());
+    return validateMetricsDocument(*doc);
+}
+
+TEST(Observability, ValidatorAcceptsResolutionSweepBlock)
+{
+    JsonValue sweep = JsonValue::object();
+    sweep["resolution"] = resolutionMetricsJson(40, 2);
+    const auto problems = validateWithSweepBlock(std::move(sweep));
     EXPECT_TRUE(problems.empty())
         << "first problem: " << problems.front();
 }
 
-TEST(Observability, ValidatorRejectsBrokenBatchSweepBlock)
+TEST(Observability, ValidatorRejectsBrokenResolutionSweepBlock)
 {
-    // Lanes that are neither hits nor misses violate the batch
-    // runner's classification identity.
-    BatchStats stats;
-    stats.width = 8;
-    stats.groups = 1;
-    stats.lanes = 8;
-    stats.hits = 3;
-    stats.misses = 3;
-    stats.simulated = 3;
-    MetricsRegistry registry("test");
-    registry.addRun(JsonValue::parse(
-        R"({"uarch": "TDX", "status": "halted", "cycles": 0,
-            "pes": []})")
-                        .value());
+    // Skips plus fulls that do not add up to the resolution total.
+    JsonValue broken = resolutionMetricsJson(40, 2);
+    broken["triggers_resolved"] = std::uint64_t{41};
     JsonValue sweep = JsonValue::object();
-    sweep["batch"] = batchStatsJson(stats);
-    registry.root()["sweep"] = std::move(sweep);
-
-    const auto doc = JsonValue::parse(registry.dump());
-    ASSERT_TRUE(doc.has_value());
-    const auto problems = validateMetricsDocument(*doc);
+    sweep["resolution"] = std::move(broken);
+    auto problems = validateWithSweepBlock(std::move(sweep));
     ASSERT_FALSE(problems.empty());
     bool identity = false;
     for (const std::string &problem : problems)
-        identity |= problem.find("hits + misses") != std::string::npos;
+        identity |= problem.find("incremental_skips + full_resolves") !=
+                    std::string::npos;
     EXPECT_TRUE(identity) << problems.front();
+
+    // A sweep block without "resolution" says nothing and is rejected.
+    problems = validateWithSweepBlock(JsonValue::object());
+    ASSERT_FALSE(problems.empty());
+    EXPECT_NE(problems.front().find("resolution"), std::string::npos)
+        << problems.front();
 }
 
 TEST(Observability, ValidatorRejectsWrongSchema)

@@ -204,7 +204,7 @@ TEST(SweepEngine, ParallelDseEnumerateMatchesSerial)
     const DesignSpace dse(std::move(table));
 
     const auto serial = dse.enumerate();
-    const auto parallel = dse.enumerateParallel(4);
+    const auto parallel = dse.enumerateStreamed(4).points;
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {

@@ -1,8 +1,9 @@
 /**
  * @file
  * The streaming sweep pipeline (exec/pipeline.hh) and its satellites:
- * in-order sink delivery, bit-identity of the streamed CPI matrix vs
- * the flat SweepEngine::map barrier across jobs counts (clean and
+ * in-order sink delivery, no head-of-line throttling without a
+ * generator stop, bit-identity of the streamed CPI matrix vs a flat
+ * SweepEngine::map barrier oracle across jobs counts (clean and
  * fault-injected), fail-fast cancellation of sibling tasks on the
  * first exception, mid-pipeline StopToken cancellation (every slot
  * Cancelled-or-filled, nothing cached), the incremental Pareto
@@ -14,9 +15,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <mutex>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -182,6 +185,59 @@ TEST(SweepPipeline, GeneratorStopDeliversAContiguousPrefix)
     EXPECT_LT(result.sunk, 10'000u);
 }
 
+TEST(SweepPipeline, SlowHeadTaskDoesNotThrottleLaterTasks)
+{
+    // Without a generator stop nothing bounds run-ahead: task 0 blocks
+    // until the last task has started, which a small in-flight window
+    // would never submit while the sink waits on task 0.
+    constexpr std::size_t kTasks = 16;
+    std::mutex mutex;
+    std::condition_variable lastStarted;
+    bool started = false;
+    bool released = false;
+    std::size_t sunk = 0;
+    SweepPipeline(2).run(
+        kTasks,
+        [&](std::size_t i) {
+            std::unique_lock<std::mutex> lock(mutex);
+            if (i + 1 == kTasks) {
+                started = true;
+                lastStarted.notify_all();
+            } else if (i == 0) {
+                released = lastStarted.wait_for(
+                    lock, std::chrono::seconds(10),
+                    [&] { return started; });
+            }
+            return i;
+        },
+        [&](std::size_t i, std::size_t &&) {
+            EXPECT_EQ(i, sunk);
+            ++sunk;
+        });
+    EXPECT_TRUE(released)
+        << "task 0 timed out: the head of the sink throttled the pool";
+    EXPECT_EQ(sunk, kTasks);
+
+    // A generator stop still bounds run-ahead and sinks a contiguous
+    // prefix that ends well short of the index space.
+    StopSource stop;
+    std::size_t next = 0;
+    const PipelineResult bounded = SweepPipeline(2).run(
+        1'000'000, [](std::size_t i) { return i; },
+        [&](std::size_t i, std::size_t &&) {
+            EXPECT_EQ(i, next);
+            ++next;
+            if (next == 8)
+                stop.requestStop();
+        },
+        stop.token());
+    EXPECT_TRUE(bounded.stoppedEarly);
+    EXPECT_EQ(bounded.sunk, next);
+    EXPECT_EQ(bounded.generated, bounded.sunk);
+    EXPECT_GE(bounded.sunk, 8u);
+    EXPECT_LT(bounded.sunk, 1'000u);
+}
+
 // ---------------------------------------------------------------------
 // SweepEngine fail-fast (satellite bugfix).
 
@@ -295,6 +351,33 @@ matrixConfigs()
         PeConfig{PipelineShape{true, false, false}, true, true},
         PeConfig{PipelineShape{true, true, true}, true, true},
     };
+}
+
+/**
+ * The flat oracle: every cell on the SweepEngine::map barrier with the
+ * same per-cell task as runCycleMatrixStreamed, assembled after the
+ * last one finishes.
+ */
+CycleMatrix
+runCycleMatrixFlat(const std::vector<Workload> &workloads,
+                   const std::vector<PeConfig> &configs,
+                   const CycleRunOptions &options, unsigned jobs)
+{
+    auto sweep = SweepEngine(jobs).map(
+        configs.size() * workloads.size(),
+        [&](std::size_t i, const StopToken &cancel) {
+            CycleRunOptions task = options;
+            task.stop = StopToken::anyOf(options.stop, cancel);
+            return runCycle(workloads[i % workloads.size()],
+                            configs[i / workloads.size()], task);
+        });
+    CycleMatrix matrix;
+    matrix.runs = std::move(sweep.values);
+    matrix.numConfigs = configs.size();
+    matrix.numWorkloads = workloads.size();
+    matrix.jobs = sweep.jobs;
+    matrix.wallMs = sweep.wallMs;
+    return matrix;
 }
 
 void
@@ -469,7 +552,7 @@ TEST(IncrementalPareto, StreamedDseMatchesBatchFrontier)
         table[config.name()] = 1.5;
     const DesignSpace dse(std::move(table));
 
-    const auto points = dse.enumerateParallel(4);
+    const auto points = dse.enumerate();
     const auto batch = DesignSpace::paretoFrontier(points);
 
     const DseStreamResult stream = dse.enumerateStreamed(4);

@@ -17,16 +17,6 @@
  *                      (default: hardware concurrency). Results are
  *                      printed in list order and are bit-identical to
  *                      a serial sweep.
- *   --batch N          batched lockstep simulation for multi-uarch
- *                      sweeps: advance N microarchitectures per
- *                      BatchedFabric in lockstep (docs/batched_sim.md).
- *                      Reports are bit-identical to the scalar sweep
- *                      (the --stats host-time line uses the lockstep
- *                      group's wall time). Default off. Junk values
- *                      are fatal and absurd widths clamp with a
- *                      warning (parseBatchWidth); --jobs 1 disables
- *                      batching with a stderr note and an
- *                      "auto_disabled" flag in --metrics.
  *   --pes N            fabric size (default: as many PEs as the
  *                      program targets)
  *   --connect A.O:B.I  wire PE A output O to PE B input I (repeat)
@@ -89,7 +79,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -107,10 +96,8 @@
 #include "obs/metrics.hh"
 #include "sim/fault.hh"
 #include "sim/functional.hh"
-#include "uarch/batched_fabric.hh"
 #include "uarch/cycle_fabric.hh"
 #include "uarch/fabric_metrics.hh"
-#include "workloads/runner.hh" // parseBatchWidth, BatchStats
 
 namespace {
 
@@ -194,7 +181,6 @@ struct Options
     std::string uarch = "functional";
     unsigned pes = 0;
     unsigned jobs = 0; ///< Sweep workers; 0 = hardware concurrency.
-    std::size_t batch = 0; ///< Lockstep width (0/1 = scalar sweep).
     std::vector<std::array<unsigned long, 4>> connects;
     std::vector<std::array<unsigned long, 3>> readPorts;
     std::vector<std::array<unsigned long, 3>> writePorts;
@@ -463,10 +449,8 @@ run(const Options &opt)
     // parallel sweep, assembled in list order afterwards.
     std::vector<JsonValue> metricsRuns(uarchs.size());
 
-    // Everything printed for one finished run, shared by the scalar
-    // and batched sweeps so a batched report is byte-identical by
-    // construction. @p chrome / @p ring are the scalar path's trace
-    // sinks (nullptr in a batched sweep, which cannot trace).
+    // Everything printed for one finished run. @p chrome / @p ring are
+    // the run's trace sinks (nullptr when tracing is off).
     auto renderReport = [&](CycleFabric &fabric, const PeConfig &uarch,
                             RunStatus status, FaultInjector *injector,
                             double host_seconds, ChromeTraceSink *chrome,
@@ -664,145 +648,9 @@ run(const Options &opt)
         return std::make_pair(report.code, std::move(report.text));
     };
 
-    std::vector<std::pair<int, std::string>> results;
-    unsigned sweep_jobs = 1;
-    double sweep_wall_ms = 0.0;
-    // Lockstep lanes only pay off when groups overlap across worker
-    // threads; an explicit --jobs 1 sweep falls back to scalar with a
-    // note (and an "auto_disabled" flag in the metrics document).
-    bool batch_auto_disabled = false;
-    std::size_t batch = opt.batch;
-    if (batch > 1 && uarchs.size() > 1 && opt.jobs == 1) {
-        std::fprintf(stderr,
-                     "tia-sim: --batch %zu disabled: one worker "
-                     "thread (--jobs 1) gains nothing from lockstep "
-                     "batching; running scalar\n",
-                     batch);
-        batch = 0;
-        batch_auto_disabled = true;
-    }
-    // --trace is already rejected for multi-uarch sweeps, so the
-    // batched path never has to reconcile a trace sink with lockstep.
-    if (batch > 1 && uarchs.size() > 1) {
-        const std::size_t width = std::min(batch, uarchs.size());
-        const std::size_t groups = (uarchs.size() + width - 1) / width;
-        auto runGroup = [&](std::size_t g) {
-            const std::size_t lo = g * width;
-            const std::size_t hi = std::min(lo + width, uarchs.size());
-            const std::size_t n = hi - lo;
-            std::vector<RunReport> reports(n);
-            std::vector<Digest128> keys(n);
-            std::vector<std::string> cached(n);
-            std::vector<std::uint8_t> verify(n, 0);
-            std::vector<std::size_t> sim_lanes;
-            for (std::size_t l = 0; l < n; ++l) {
-                if (!cache) {
-                    sim_lanes.push_back(l);
-                    continue;
-                }
-                keys[l] = reportKey(uarchs[lo + l]);
-                std::optional<std::string> payload =
-                    cache->lookup(keys[l]);
-                if (!payload) {
-                    sim_lanes.push_back(l);
-                    continue;
-                }
-                if (auto decoded = decodeRunReport(*payload)) {
-                    reports[l] = std::move(*decoded);
-                    if (cache->verifyHits()) {
-                        cached[l] = std::move(*payload);
-                        verify[l] = 1;
-                        sim_lanes.push_back(l);
-                    }
-                    continue;
-                }
-                cache->erase(keys[l]);
-                sim_lanes.push_back(l);
-            }
-            if (!sim_lanes.empty()) {
-                std::vector<PeConfig> lanes;
-                std::vector<std::unique_ptr<FaultInjector>> injectors;
-                std::vector<FaultInjector *> injector_ptrs;
-                lanes.reserve(sim_lanes.size());
-                for (const std::size_t l : sim_lanes) {
-                    lanes.push_back(uarchs[lo + l]);
-                    if (plan) {
-                        injectors.push_back(
-                            std::make_unique<FaultInjector>(*plan));
-                        injector_ptrs.push_back(injectors.back().get());
-                    } else {
-                        injector_ptrs.push_back(nullptr);
-                    }
-                }
-                BatchedFabric fabric(config, program, lanes,
-                                     injector_ptrs);
-                for (unsigned b = 0; b < fabric.numLanes(); ++b)
-                    preload(fabric.lane(b).memory());
-                const auto host_start = std::chrono::steady_clock::now();
-                FabricRunOptions runOptions;
-                runOptions.maxCycles = opt.maxCycles;
-                runOptions.quiescenceWindow = opt.quiescenceWindow;
-                const auto outcomes = fabric.run(runOptions);
-                const double host_seconds =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - host_start)
-                        .count();
-                for (std::size_t b = 0; b < sim_lanes.size(); ++b) {
-                    // The scalar sweep has no trap harness — an
-                    // injected run's FatalError aborts the tool — so
-                    // a trapped lane rethrows, preserving exit
-                    // semantics and the original message.
-                    fatalIf(outcomes[b].trapped,
-                            outcomes[b].trapMessage);
-                    const std::size_t l = sim_lanes[b];
-                    RunReport fresh = renderReport(
-                        fabric.lane(static_cast<unsigned>(b)),
-                        uarchs[lo + l], outcomes[b].status,
-                        injector_ptrs[b], host_seconds, nullptr,
-                        nullptr);
-                    if (cache && verify[l]) {
-                        cache->verifyHit(keys[l], cached[l],
-                                         encodeRunReport(fresh));
-                    } else {
-                        if (cache)
-                            cache->put(keys[l], encodeRunReport(fresh));
-                        reports[l] = std::move(fresh);
-                    }
-                }
-            }
-            std::vector<std::pair<int, std::string>> out;
-            out.reserve(n);
-            for (std::size_t l = 0; l < n; ++l) {
-                if (!opt.metricsPath.empty() &&
-                    !reports[l].metricsJson.empty()) {
-                    std::string parse_error;
-                    auto entry = JsonValue::parse(reports[l].metricsJson,
-                                                  &parse_error);
-                    fatalIf(!entry.has_value(),
-                            "corrupt cached metrics entry: ",
-                            parse_error);
-                    metricsRuns[lo + l] = std::move(*entry);
-                }
-                out.emplace_back(reports[l].code,
-                                 std::move(reports[l].text));
-            }
-            return out;
-        };
-        const SweepEngine engine(opt.jobs);
-        auto sweep = engine.map(groups, runGroup);
-        for (auto &group : sweep.values) {
-            for (auto &report : group)
-                results.push_back(std::move(report));
-        }
-        sweep_jobs = sweep.jobs;
-        sweep_wall_ms = sweep.wallMs;
-    } else {
-        const SweepEngine engine(uarchs.size() == 1 ? 1 : opt.jobs);
-        auto sweep = engine.map(uarchs.size(), simulate);
-        results = std::move(sweep.values);
-        sweep_jobs = sweep.jobs;
-        sweep_wall_ms = sweep.wallMs;
-    }
+    const SweepEngine engine(uarchs.size() == 1 ? 1 : opt.jobs);
+    const auto sweep = engine.map(uarchs.size(), simulate);
+    const auto &results = sweep.values;
 
     if (cache) {
         std::string save_error;
@@ -822,20 +670,13 @@ run(const Options &opt)
     if (uarchs.size() > 1) {
         std::printf("\nswept %zu microarchitectures on %u worker "
                     "thread(s) in %.1f ms\n",
-                    uarchs.size(), sweep_jobs, sweep_wall_ms);
+                    uarchs.size(), sweep.jobs, sweep.wallMs);
     }
     if (!opt.metricsPath.empty()) {
         MetricsRegistry registry("tia-sim");
         registry.root()["program"] = opt.program;
         for (auto &entry : metricsRuns)
             registry.addRun(std::move(entry));
-        if (batch_auto_disabled) {
-            BatchStats stats;
-            stats.autoDisabled = true;
-            JsonValue sweep = JsonValue::object();
-            sweep["batch"] = batchStatsJson(stats);
-            registry.root()["sweep"] = std::move(sweep);
-        }
         fatalIf(!registry.writeTo(opt.metricsPath), "cannot write ",
                 opt.metricsPath);
         std::printf("metrics: %s\n", opt.metricsPath.c_str());
@@ -864,8 +705,6 @@ main(int argc, char **argv)
                 opt.pes = static_cast<unsigned>(std::stoul(next()));
             } else if (arg == "--jobs") {
                 opt.jobs = ThreadPool::parseJobs(next());
-            } else if (arg == "--batch") {
-                opt.batch = parseBatchWidth(next());
             } else if (arg == "--connect") {
                 const auto v = numbers(next(), ".:");
                 fatalIf(v.size() != 4, "--connect wants A.O:B.I");

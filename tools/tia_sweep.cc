@@ -9,34 +9,20 @@
  * are still simulating, and the cache save overlaps the DSE phase.
  * Emits one JSON document with the matrix, the attempted/evaluated
  * design-point counts and the energy-delay Pareto frontier. Results
- * are bit-identical for any --jobs value and for --flat vs the
- * pipeline (asserted by the ctest fixtures); the wall_ms fields are
- * the measured sweep times (the speedup evidence on multi-core hosts).
+ * are bit-identical for any --jobs value (asserted by the ctest
+ * fixtures); the wall_ms fields are the measured sweep times.
  *
  *   tia-sweep [options]
  *
  * Options:
  *   --jobs N     worker threads (default: hardware concurrency;
  *                absurd values are clamped with a warning)
- *   --batch N    batched lockstep simulation: advance N uarch configs
- *                of each workload in lockstep per BatchedFabric task
- *                (docs/batched_sim.md). Output is byte-identical to
- *                scalar; per-batch stats go to stderr and the
- *                --metrics "sweep" block. Default off; ignored by
- *                --flat (the scalar reference barrier). Junk values
- *                are fatal, absurd widths clamp with a warning
- *                (parseBatchWidth), and one worker thread (--jobs 1)
- *                auto-disables batching with a stderr note and
- *                "auto_disabled": true in the metrics batch block.
  *   --small      reduced workload sizes (fast smoke pass)
  *   --configs X  "all" (default), "fig5", or a comma-separated list
  *                of microarchitecture names
  *   --suite-cpi  drive the DSE with suite-average CPI instead of the
  *                paper's bst-only methodology
  *   --no-dse     emit only the CPI matrix
- *   --flat       run on the flat SweepEngine::map barrier instead of
- *                the pipeline (reference implementation; the output
- *                must be byte-identical modulo wall_ms)
  *   --incremental  overlap the DSE with the CPI matrix: each config's
  *                design shards are enumerated in the matrix sink as
  *                soon as its CPI lands (while later rows simulate),
@@ -93,11 +79,9 @@ using namespace tia;
 struct Options
 {
     unsigned jobs = 0; ///< 0 = hardware concurrency.
-    std::size_t batch = 0; ///< Lockstep width (0/1 = scalar).
     bool small = false;
     bool suiteCpi = false;
     bool dse = true;
-    bool flat = false;        ///< Reference flat engine, no pipeline.
     bool incremental = false; ///< Stream frontier updates + early exit.
     std::size_t stableWindow = 500;
     std::string configs = "all";
@@ -172,20 +156,6 @@ run(const Options &opt)
             "without a warm tier)");
     std::optional<SimCache> cache;
     CycleRunOptions run_options;
-    run_options.batch = opt.batch;
-    // Lockstep lanes only pay off when groups overlap across worker
-    // threads; on a single worker the batch just serializes with
-    // extra bookkeeping, so fall back to scalar and say so.
-    bool batch_auto_disabled = false;
-    if (opt.batch > 1 && jobs == 1) {
-        std::fprintf(stderr,
-                     "tia-sweep: --batch %zu disabled: one worker "
-                     "thread (--jobs 1) gains nothing from lockstep "
-                     "batching; running scalar\n",
-                     opt.batch);
-        run_options.batch = 0;
-        batch_auto_disabled = true;
-    }
     if (!opt.cachePath.empty()) {
         cache.emplace();
         cache->setVerifyHits(opt.cacheVerify);
@@ -200,9 +170,7 @@ run(const Options &opt)
     }
 
     // Per-config JSON rows and metrics entries, built cell-by-cell in
-    // the pipeline's in-order sink while later cells simulate. The
-    // --flat path feeds the same builder in the same row-major order
-    // after the barrier, so the two outputs are byte-identical.
+    // the pipeline's in-order sink while later cells simulate.
     MetricsRegistry registry("tia-sweep");
     bool all_ok = true;
     std::vector<std::string> cpiRows(configs.size());
@@ -216,7 +184,7 @@ run(const Options &opt)
     // config-major order as DesignSpace::enumerateStreamed, so the
     // frontier is identical; the work is speculative and discarded if
     // any cell fails (no "dse" block is emitted then anyway).
-    const bool overlapDse = opt.dse && !opt.flat && opt.incremental;
+    const bool overlapDse = opt.dse && opt.incremental;
     struct OverlapState
     {
         IncrementalPareto pareto;
@@ -312,17 +280,8 @@ run(const Options &opt)
         }
     };
 
-    CycleMatrix matrix;
-    if (opt.flat) {
-        matrix = runCycleMatrixFlat(suite, configs, run_options, jobs);
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            for (std::size_t w = 0; w < suite.size(); ++w)
-                addCell(c, w, matrix.run(c, w));
-        }
-    } else {
-        matrix = runCycleMatrixStreamed(suite, configs, run_options,
-                                        jobs, addCell);
-    }
+    const CycleMatrix matrix = runCycleMatrixStreamed(
+        suite, configs, run_options, jobs, addCell);
 
     // Kick the cache save off in the background so its serialization
     // and fsync I/O overlap the DSE phase (a fully warm cache skips
@@ -424,15 +383,7 @@ run(const Options &opt)
         double dse_ms = 0.0;
         std::size_t evaluated = 0;
         std::string incrementalJson;
-        if (opt.flat) {
-            const auto dse_start = std::chrono::steady_clock::now();
-            const auto points = dse.enumerateParallel(jobs, configs);
-            dse_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - dse_start)
-                         .count();
-            frontier = DesignSpace::paretoFrontier(points);
-            evaluated = points.size();
-        } else if (overlapDse) {
+        if (overlapDse) {
             frontier = overlap.pareto.frontier();
             dse_ms = overlap.computeMs;
             evaluated = overlap.evaluated;
@@ -525,13 +476,7 @@ run(const Options &opt)
             skips += run.resolutionSkips;
             fulls += run.resolutionFulls;
         }
-        JsonValue resolution = resolutionMetricsJson(skips, fulls);
-        resolution["bitplane_ops"] = matrix.batch.bitplaneOps;
-        sweep["resolution"] = std::move(resolution);
-        if (matrix.batch.width > 0 || batch_auto_disabled) {
-            matrix.batch.autoDisabled = batch_auto_disabled;
-            sweep["batch"] = batchStatsJson(matrix.batch);
-        }
+        sweep["resolution"] = resolutionMetricsJson(skips, fulls);
         registry.root()["sweep"] = std::move(sweep);
         fatalIf(!registry.writeTo(opt.metricsPath), "cannot write ",
                 opt.metricsPath);
@@ -550,19 +495,6 @@ run(const Options &opt)
                  "thread(s), CPI matrix %.1f ms\n",
                  configs.size(), suite.size(), matrix.jobs,
                  matrix.wallMs);
-    if (matrix.batch.width > 0) {
-        std::fprintf(stderr,
-                     "tia-sweep: batch width %zu: %zu group(s), %zu "
-                     "lane(s), %zu hit(s), %zu miss(es), %zu "
-                     "simulated, %zu verified, %zu cancelled, "
-                     "%llu bitplane op(s)\n",
-                     matrix.batch.width, matrix.batch.groups,
-                     matrix.batch.lanes, matrix.batch.hits,
-                     matrix.batch.misses, matrix.batch.simulated,
-                     matrix.batch.verified, matrix.batch.cancelled,
-                     static_cast<unsigned long long>(
-                         matrix.batch.bitplaneOps));
-    }
     if (cache)
         std::fprintf(stderr, "tia-sweep: %s\n",
                      cache->statsSummary().c_str());
@@ -584,16 +516,12 @@ main(int argc, char **argv)
             };
             if (arg == "--jobs") {
                 opt.jobs = ThreadPool::parseJobs(next());
-            } else if (arg == "--batch") {
-                opt.batch = parseBatchWidth(next());
             } else if (arg == "--small") {
                 opt.small = true;
             } else if (arg == "--suite-cpi") {
                 opt.suiteCpi = true;
             } else if (arg == "--no-dse") {
                 opt.dse = false;
-            } else if (arg == "--flat") {
-                opt.flat = true;
             } else if (arg == "--incremental") {
                 opt.incremental = true;
             } else if (arg == "--stable-window") {
