@@ -184,7 +184,7 @@ BM_EncodeDecode(benchmark::State &state)
 }
 BENCHMARK(BM_EncodeDecode);
 
-// The Figure 5 matrix product on the sweep engine. Arg is the jobs
+// The Figure 5 matrix product on the sweep pipeline. Arg is the jobs
 // count (0 = hardware concurrency); compare the Arg(1) serial
 // reference against Arg(0) for the parallel wall-clock speedup on
 // multi-core hosts.

@@ -248,10 +248,10 @@ SimCache::load(const std::string &path, std::string *error)
     const std::string bytes = contents.str();
 
     ByteReader reader(bytes);
-    char magic[sizeof(kMagic)];
-    for (char &c : magic)
-        c = static_cast<char>(reader.u8());
-    if (!reader.ok() || !std::equal(magic, magic + sizeof(kMagic), kMagic))
+    bool magicOk = true;
+    for (char expected : kMagic)
+        magicOk &= reader.u8() == static_cast<std::uint8_t>(expected);
+    if (!reader.ok() || !magicOk)
         return fail("not a TIASIMC1 cache file: " + path);
     const std::uint32_t fileVersion = reader.u32();
     if (!reader.ok() || fileVersion != kFileVersion)

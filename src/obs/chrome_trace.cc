@@ -133,14 +133,14 @@ ChromeTraceSink::record(const TraceEvent &event)
         return;
       case TraceEventKind::StageOccupancy:
         beginEvent("X", event.pe, event.arg + 1u, event.cycle,
-                   "i" + std::to_string(event.index));
+                   std::string("i") + std::to_string(event.index));
         out_ += ",\"dur\":1,\"cat\":\"stage\",\"args\":{\"id\":";
         appendUint(out_, event.value);
         out_ += "}}";
         return;
       case TraceEventKind::QueueDepth:
         beginEvent("C", kChromeChannelPid, 0, event.cycle,
-                   "ch" + std::to_string(event.index));
+                   std::string("ch") + std::to_string(event.index));
         out_ += ",\"args\":{\"occupancy\":";
         appendUint(out_, event.value);
         out_ += "}}";

@@ -153,7 +153,7 @@ dseShards(const std::vector<PeConfig> &configs)
 DseStreamResult
 DesignSpace::enumerateStreamed(unsigned jobs,
                                const std::vector<PeConfig> &configs,
-                               const DseStreamOptions &options) const
+                               const DseStreamOptions &) const
 {
     const std::vector<DseShard> shards = dseShards(configs);
 
@@ -161,12 +161,6 @@ DesignSpace::enumerateStreamed(unsigned jobs,
     result.shardsTotal = shards.size();
 
     IncrementalPareto pareto;
-    std::size_t sinceChange = 0; // points sunk since last frontier change
-    // Only an early-exit run hands the pipeline a generator stop: a
-    // detached token lets every shard be in flight at once.
-    StopSource earlyStop;
-    const StopToken generatorStop =
-        options.stableWindow != 0 ? earlyStop.token() : StopToken{};
 
     const SweepPipeline pipeline(jobs);
     const PipelineResult run = pipeline.run(
@@ -185,29 +179,14 @@ DesignSpace::enumerateStreamed(unsigned jobs,
             return points;
         },
         [&](std::size_t, std::vector<DesignPoint> &&shardPoints) {
-            bool changed = false;
             for (DesignPoint &point : shardPoints) {
-                if (pareto.add(point)) {
-                    changed = true;
-                    sinceChange = 0;
-                } else {
-                    ++sinceChange;
-                }
+                pareto.add(point);
                 result.points.push_back(std::move(point));
             }
-            ++result.shardsCompleted;
-            if (changed && options.onFrontierUpdate)
-                options.onFrontierUpdate(pareto.pointsSeen(),
-                                         pareto.frontier());
-            if (options.stableWindow != 0 &&
-                sinceChange >= options.stableWindow)
-                earlyStop.requestStop();
-        },
-        generatorStop);
+        });
 
     result.frontier = pareto.frontier();
     result.frontierUpdates = pareto.updates();
-    result.earlyExit = run.stoppedEarly;
     result.jobs = run.jobs;
     result.wallMs = run.wallMs;
     return result;

@@ -17,7 +17,6 @@
 #define TIA_VLSI_DSE_HH
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -57,23 +56,13 @@ struct DesignPoint
     double edp() const { return nsPerInstruction * pjPerInstruction; }
 };
 
-/** Options for DesignSpace::enumerateStreamed. */
+/**
+ * Options for DesignSpace::enumerateStreamed. Empty: the DSE always
+ * runs the full grid. The type stays because the benchmark helper
+ * (perfbench/tia_perfbench.cc) passes `{}` for it.
+ */
 struct DseStreamOptions
 {
-    /**
-     * Early exit: stop generating new shards once this many
-     * consecutive design points have been sunk without changing the
-     * Pareto frontier. 0 disables early exit (the full grid runs).
-     */
-    std::size_t stableWindow = 0;
-    /**
-     * Streaming frontier observer, called on the enumerating thread
-     * at most once per completed shard whose points changed the
-     * frontier: (points seen so far, current frontier).
-     */
-    std::function<void(std::size_t pointsSeen,
-                       const std::vector<DesignPoint> &frontier)>
-        onFrontierUpdate;
 };
 
 /** Result of DesignSpace::enumerateStreamed. */
@@ -85,11 +74,8 @@ struct DseStreamResult
     std::vector<DesignPoint> frontier;
     std::size_t frontierUpdates = 0; ///< Points that changed the frontier.
     std::size_t shardsTotal = 0;     ///< (config, vt, vdd) shards in grid.
-    std::size_t shardsCompleted = 0; ///< Shards evaluated (== total unless
-                                     ///< earlyExit).
-    bool earlyExit = false; ///< Stopped via stableWindow before the end.
-    unsigned jobs = 1;      ///< Worker threads used.
-    double wallMs = 0.0;    ///< Wall-clock time of the enumeration.
+    unsigned jobs = 1;               ///< Worker threads used.
+    double wallMs = 0.0;             ///< Wall-clock time of the enumeration.
 };
 
 class DesignSpace
@@ -121,11 +107,7 @@ class DesignSpace
      * enumerate() sharded by (config, vt, vdd) on the streaming
      * SweepPipeline (exec/pipeline.hh), with an incremental Pareto
      * frontier (vlsi/pareto.hh) maintained in the in-order sink. Point
-     * order and values are element-wise identical to enumerate() when
-     * the full grid runs; with DseStreamOptions::stableWindow set, the
-     * enumeration may stop early and @ref DseStreamResult::points
-     * holds a contiguous shard prefix of the serial order (the
-     * frontier is exact for the points evaluated).
+     * order and values are element-wise identical to enumerate().
      */
     DseStreamResult
     enumerateStreamed(unsigned jobs,

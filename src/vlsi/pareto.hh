@@ -6,10 +6,8 @@
  * delay, then sweep keeping strict energy improvements. That forces
  * the full >4,000-point DSE to finish before the first frontier point
  * exists. IncrementalPareto maintains the same frontier online, one
- * point per add(), so the pipeline's in-order sink can stream frontier
- * updates while later design points are still being evaluated — and
- * stop the generator early once the frontier has been stable for a
- * configurable window (tia-sweep --incremental).
+ * point per add(), so the pipeline's in-order sink keeps it current
+ * while later design points are still being evaluated.
  *
  * Equivalence with the batch algorithm (pinned by
  * tests/test_sweep_pipeline.cc): after add()ing every point, in any

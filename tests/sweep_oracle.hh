@@ -1,47 +1,28 @@
 /**
  * @file
- * Deterministic parallel sweeps over an index space.
+ * SweepEngine: the flat-barrier test oracle for SweepPipeline
+ * (exec/pipeline.hh).
  *
  * SweepEngine::map(count, fn) evaluates fn(0) .. fn(count - 1) on a
- * thread pool and returns the results in submission order, so a
- * parallel sweep is element-wise identical to the serial loop it
- * replaces as long as fn(i) itself is a pure function of i — which
- * every batch entry point in this repo guarantees by constructing its
- * own CycleFabric, FaultInjector and counters per task. With jobs == 1
- * the engine degenerates to the plain serial loop on the calling
- * thread (no pool, no synchronization), which the determinism tests
- * use as the reference. map() is the flat reference implementation;
- * exec/pipeline.hh layers the streaming generate → simulate → sink
- * pipeline on the same pool and task conventions.
+ * thread pool and returns the results in submission order, with no
+ * result visible until the last task finishes. It is the simplest
+ * parallel form of the serial loop, so the tests compare the
+ * pipeline's in-order sink against it across jobs counts. With
+ * jobs == 1 it degenerates to the plain serial loop on the calling
+ * thread.
  *
- * Tasks may take a second StopToken parameter — fn(i, cancel) — to
- * opt into engine-driven cancellation: the engine hands every task a
- * token from its internal fail-fast StopSource, and fires it the
- * moment any sibling throws. A cancellation-aware simulation task
- * merges that token with the caller's own (StopToken::anyOf) and
- * returns RunStatus::Cancelled within a few thousand simulated
- * cycles, so one failing cell no longer costs a full matrix of wasted
- * work. Tasks without the token parameter are simply skipped once a
- * sibling has failed (their slots stay empty, which is fine — map()
- * rethrows before results are assembled).
- *
- * Exceptions thrown by tasks are captured and the lowest-index one is
- * rethrown from map(), matching what the serial loop would have
- * thrown first among the tasks that actually ran. (Fail-fast adds one
- * caveat: a lower-index task that would *eventually* have thrown can
- * instead observe the cancel token and return a Cancelled value, in
- * which case the first sibling that did throw is reported.)
- *
- * Sweeps are cancellable cooperatively, not by aborting tasks: batch
- * entry points thread a StopToken (exec/stop_token.hh) through
- * CycleRunOptions into each task's cycle loop, so a fired token makes
- * the remaining tasks return RunStatus::Cancelled quickly and map()
- * still completes with every slot filled. That is how tia-serve bounds
- * a `sweep` request by its deadline without leaking pool workers.
+ * Tasks follow the pipeline's conventions (detail::invokeSweepTask):
+ * fn(i) or fn(i, cancel). The engine fires its internal fail-fast
+ * token the moment any task throws; token-aware siblings return
+ * RunStatus::Cancelled quickly, tokenless queued siblings are
+ * skipped, and map() rethrows the lowest-index exception. (A
+ * lower-index task that would eventually have thrown can instead
+ * observe the cancel token and return a Cancelled value, in which
+ * case the first sibling that did throw is reported.)
  */
 
-#ifndef TIA_EXEC_SWEEP_HH
-#define TIA_EXEC_SWEEP_HH
+#ifndef TIA_TESTS_SWEEP_ORACLE_HH
+#define TIA_TESTS_SWEEP_ORACLE_HH
 
 #include <atomic>
 #include <chrono>
@@ -52,31 +33,11 @@
 #include <utility>
 #include <vector>
 
+#include "exec/pipeline.hh"
 #include "exec/stop_token.hh"
 #include "exec/thread_pool.hh"
 
 namespace tia {
-
-namespace detail {
-
-/** Invoke a sweep task, passing the cancel token when fn accepts it. */
-template <typename Fn>
-auto
-invokeSweepTask(Fn &fn, std::size_t i, const StopToken &cancel)
-{
-    if constexpr (std::is_invocable_v<Fn &, std::size_t, StopToken>)
-        return fn(i, cancel);
-    else
-        return fn(i);
-}
-
-/** Result type of a sweep task (with or without the token parameter). */
-template <typename Fn>
-using SweepTaskResult =
-    decltype(invokeSweepTask(std::declval<Fn &>(), std::size_t{},
-                             std::declval<const StopToken &>()));
-
-} // namespace detail
 
 /** A completed sweep: values in submission order plus run metadata. */
 template <typename T>
@@ -180,4 +141,4 @@ class SweepEngine
 
 } // namespace tia
 
-#endif // TIA_EXEC_SWEEP_HH
+#endif // TIA_TESTS_SWEEP_ORACLE_HH

@@ -181,8 +181,10 @@ TEST(HangDiagnosis, PollingLoopIsLivelock)
     FabricBuilder builder(ArchParams{}, 1);
     CycleFabric fabric(builder.build(), program, kUarch);
 
-    EXPECT_EQ(fabric.run(FabricRunOptions{4000, 500}),
-              RunStatus::Livelock);
+    FabricRunOptions options;
+    options.maxCycles = 4000;
+    options.quiescenceWindow = 500;
+    EXPECT_EQ(fabric.run(options), RunStatus::Livelock);
     const HangReport &report = fabric.hangReport();
     EXPECT_EQ(report.classification, RunStatus::Livelock);
     EXPECT_NE(report.summary.find("livelock"), std::string::npos);

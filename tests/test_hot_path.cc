@@ -26,6 +26,16 @@
 namespace tia {
 namespace {
 
+/** Run options with an explicit cycle budget and quiescence window. */
+FabricRunOptions
+runBudget(Cycle maxCycles, Cycle quiescenceWindow)
+{
+    FabricRunOptions options;
+    options.maxCycles = maxCycles;
+    options.quiescenceWindow = quiescenceWindow;
+    return options;
+}
+
 // ---------------------------------------------------------------------
 // Scheduler fast path vs reference, over random instructions & status.
 // ---------------------------------------------------------------------
@@ -394,8 +404,9 @@ observeRun(const Workload &workload, const PeConfig &uarch, bool sleep,
     for (const auto &c : obs.counters)
         pe_cycles += c.cycles;
     EXPECT_EQ(steps.peStepsExecuted + steps.peStepsSkipped, pe_cycles);
-    if (!sleep || injector != nullptr)
+    if (!sleep || injector != nullptr) {
         EXPECT_EQ(steps.peStepsSkipped, 0u);
+    }
     return obs;
 }
 
@@ -556,14 +567,14 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
         // run stops mid-flight with every idle PE still parked.
         CycleFabric fabric(config, workload.program, uarch);
         workload.preload(fabric.memory());
-        ASSERT_EQ(fabric.run({50, 10'000}), RunStatus::StepLimit);
+        ASSERT_EQ(fabric.run(runBudget(50, 10'000)), RunStatus::StepLimit);
         expectBucketIntegrity(fabric, "step-limit");
     }
     {
         // Larger budget, same exit, after the worker made progress.
         CycleFabric fabric(config, workload.program, uarch);
         workload.preload(fabric.memory());
-        ASSERT_EQ(fabric.run({200, 10'000}), RunStatus::StepLimit);
+        ASSERT_EQ(fabric.run(runBudget(200, 10'000)), RunStatus::StepLimit);
         expectBucketIntegrity(fabric, "step-limit-200");
     }
     {
@@ -571,7 +582,7 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
         // starve, and the quiescence window trips.
         CycleFabric fabric(config, workload.program, uarch);
         workload.preload(fabric.memory());
-        ASSERT_EQ(fabric.run({kDefaultMaxCycles, 100}),
+        ASSERT_EQ(fabric.run(runBudget(kDefaultMaxCycles, 100)),
                   RunStatus::Quiescent);
         EXPECT_TRUE(fabric.pe(workload.workerPe).halted());
         expectBucketIntegrity(fabric, "quiescent");

@@ -71,9 +71,9 @@ randomProgram(std::mt19937 &rng)
           case 0:
             return reg();
           case 1:
-            return "#" + std::to_string(pick(64));
+            return std::string("#") + std::to_string(pick(64));
           default:
-            return "#" + std::to_string(rng());
+            return std::string("#") + std::to_string(rng());
         }
     };
 
@@ -90,17 +90,18 @@ randomProgram(std::mt19937 &rng)
             if (op == Op::Lsw) {
                 // r7 is never written and stays zero, bounding the
                 // scratchpad address to the immediate.
-                operands = " " + reg() + ", #" + std::to_string(pick(16)) +
-                           ", %r7";
+                operands = std::string(" ") + reg() + ", #" +
+                           std::to_string(pick(16)) + ", %r7";
             } else if (op == Op::Ssw) {
                 operands =
                     " #" + std::to_string(pick(16)) + ", " + reg();
             } else if (info.numSrcs == 1) {
-                operands = " " + reg() + ", " + src();
+                operands = std::string(" ") + reg() + ", " + src();
             } else {
                 // Keep the first source a register so at most one
                 // immediate appears (the encoding has a single field).
-                operands = " " + reg() + ", " + reg() + ", " + src();
+                operands = std::string(" ") + reg() + ", " + reg() +
+                           ", " + src();
             }
             source += "when %p == " + when + ": " +
                       std::string(info.mnemonic) + operands + "; set %p = " +

@@ -439,7 +439,7 @@ TEST(Serve, IdenticalRequestsCoalesceOntoOneSimulation)
             auto client = ServeClient::connectUnix(socket, &err);
             if (!client)
                 return;
-            client->setClient("c" + std::to_string(i));
+            client->setClient(std::string("c") + std::to_string(i));
             const auto resp =
                 client->call("simulate", simulateParams("bst"), &err);
             if (resp && resp->ok)
@@ -765,7 +765,7 @@ TEST(Serve, DrainUnderLoadAnswersEverythingAdmitted)
             auto client = ServeClient::connectUnix(socket, &err);
             if (!client)
                 return;
-            client->setClient("d" + std::to_string(i));
+            client->setClient(std::string("d") + std::to_string(i));
             for (int r = 0; r < 6; ++r) {
                 JsonValue params = simulateParams("gcd");
                 params["cache"] = (r % 2) == 0;

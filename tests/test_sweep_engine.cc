@@ -1,9 +1,9 @@
 /**
  * @file
- * The parallel sweep engine: ThreadPool/SweepEngine mechanics, and the
- * PR's headline determinism contract — parallel CPI matrices and
- * parallel DSE enumeration are element-wise identical to their serial
- * counterparts, including under an injected FaultPlan. Also pins the
+ * The parallel sweep engine: ThreadPool and the SweepEngine oracle
+ * (sweep_oracle.hh), and the headline determinism contract — parallel
+ * CPI matrices and parallel DSE enumeration are element-wise identical
+ * to their serial counterparts, including under an injected FaultPlan. Also pins the
  * two sweep-correctness fixes: the DSE frequency grid following the
  * sweep's tech model, and the unified default cycle budget.
  */
@@ -14,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
+#include "sweep_oracle.hh"
 #include "uarch/cycle_fabric.hh"
 #include "vlsi/dse.hh"
 #include "workloads/cpi.hh"

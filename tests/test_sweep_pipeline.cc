@@ -1,15 +1,15 @@
 /**
  * @file
  * The streaming sweep pipeline (exec/pipeline.hh) and its satellites:
- * in-order sink delivery, no head-of-line throttling without a
- * generator stop, bit-identity of the streamed CPI matrix vs a flat
- * SweepEngine::map barrier oracle across jobs counts (clean and
- * fault-injected), fail-fast cancellation of sibling tasks on the
- * first exception, mid-pipeline StopToken cancellation (every slot
- * Cancelled-or-filled, nothing cached), the incremental Pareto
- * frontier vs the batch algorithm (including --incremental early
- * exit), StopToken::anyOf merging, ThreadPool::parseJobs validation,
- * the SimCache dirty-skip, and the NaN-serializes-as-null pin.
+ * in-order sink delivery, no head-of-line throttling, bit-identity of
+ * the streamed CPI matrix vs the flat SweepEngine::map barrier oracle
+ * (sweep_oracle.hh) across jobs counts (clean and fault-injected),
+ * fail-fast cancellation of sibling tasks on the first exception,
+ * mid-pipeline StopToken cancellation (every slot Cancelled-or-filled,
+ * nothing cached), the incremental Pareto frontier vs the batch
+ * algorithm, StopToken::anyOf merging, ThreadPool::parseJobs
+ * validation, the SimCache dirty-skip, and the NaN-serializes-as-null
+ * pin.
  */
 
 #include <atomic>
@@ -34,10 +34,10 @@
 #include "core/logging.hh"
 #include "exec/pipeline.hh"
 #include "exec/stop_token.hh"
-#include "exec/sweep.hh"
 #include "exec/thread_pool.hh"
 #include "obs/json.hh"
 #include "sim/fault.hh"
+#include "sweep_oracle.hh"
 #include "vlsi/dse.hh"
 #include "vlsi/pareto.hh"
 #include "workloads/runner.hh"
@@ -62,9 +62,7 @@ TEST(SweepPipeline, SinkSeesEveryResultInIndexOrder)
             ++expected;
         });
     EXPECT_EQ(expected, 1000u);
-    EXPECT_EQ(result.generated, 1000u);
     EXPECT_EQ(result.sunk, 1000u);
-    EXPECT_FALSE(result.stoppedEarly);
     EXPECT_EQ(result.jobs, 4u);
 }
 
@@ -163,33 +161,11 @@ TEST(SweepPipeline, SinkExceptionFailsTheRunFast)
     }
 }
 
-TEST(SweepPipeline, GeneratorStopDeliversAContiguousPrefix)
-{
-    StopSource stop;
-    std::size_t next = 0;
-    const PipelineResult result = SweepPipeline(4).run(
-        10'000, [](std::size_t i) { return i; },
-        [&](std::size_t i, std::size_t &&) {
-            EXPECT_EQ(i, next);
-            ++next;
-            if (next == 20)
-                stop.requestStop();
-        },
-        stop.token());
-    EXPECT_TRUE(result.stoppedEarly);
-    EXPECT_EQ(result.sunk, next);
-    // Everything generated before the stop was observed is still
-    // simulated and sunk: no gaps, no dropped in-flight work.
-    EXPECT_EQ(result.generated, result.sunk);
-    EXPECT_GE(result.sunk, 20u);
-    EXPECT_LT(result.sunk, 10'000u);
-}
-
 TEST(SweepPipeline, SlowHeadTaskDoesNotThrottleLaterTasks)
 {
-    // Without a generator stop nothing bounds run-ahead: task 0 blocks
-    // until the last task has started, which a small in-flight window
-    // would never submit while the sink waits on task 0.
+    // Nothing bounds run-ahead: task 0 blocks until the last task has
+    // started, which a small in-flight window would never submit while
+    // the sink waits on task 0.
     constexpr std::size_t kTasks = 16;
     std::mutex mutex;
     std::condition_variable lastStarted;
@@ -217,25 +193,6 @@ TEST(SweepPipeline, SlowHeadTaskDoesNotThrottleLaterTasks)
     EXPECT_TRUE(released)
         << "task 0 timed out: the head of the sink throttled the pool";
     EXPECT_EQ(sunk, kTasks);
-
-    // A generator stop still bounds run-ahead and sinks a contiguous
-    // prefix that ends well short of the index space.
-    StopSource stop;
-    std::size_t next = 0;
-    const PipelineResult bounded = SweepPipeline(2).run(
-        1'000'000, [](std::size_t i) { return i; },
-        [&](std::size_t i, std::size_t &&) {
-            EXPECT_EQ(i, next);
-            ++next;
-            if (next == 8)
-                stop.requestStop();
-        },
-        stop.token());
-    EXPECT_TRUE(bounded.stoppedEarly);
-    EXPECT_EQ(bounded.sunk, next);
-    EXPECT_EQ(bounded.generated, bounded.sunk);
-    EXPECT_GE(bounded.sunk, 8u);
-    EXPECT_LT(bounded.sunk, 1'000u);
 }
 
 // ---------------------------------------------------------------------
@@ -556,8 +513,6 @@ TEST(IncrementalPareto, StreamedDseMatchesBatchFrontier)
     const auto batch = DesignSpace::paretoFrontier(points);
 
     const DseStreamResult stream = dse.enumerateStreamed(4);
-    EXPECT_FALSE(stream.earlyExit);
-    EXPECT_EQ(stream.shardsCompleted, stream.shardsTotal);
     ASSERT_EQ(stream.points.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(points[i].nsPerInstruction,
@@ -568,50 +523,6 @@ TEST(IncrementalPareto, StreamedDseMatchesBatchFrontier)
             << i;
     }
     expectSameFrontier(batch, stream.frontier, "full DSE");
-}
-
-TEST(IncrementalPareto, EarlyExitReproducesTheFullRunFrontier)
-{
-    CpiTable table;
-    for (const PeConfig &config : allConfigs())
-        table[config.name()] = 1.5;
-    const DesignSpace dse(std::move(table));
-
-    // Reference: the full run, plus the positions (in points) where
-    // the frontier last changed, to derive a window that is safe by
-    // construction: one larger than the largest gap between
-    // consecutive frontier changes.
-    const DseStreamResult full = dse.enumerateStreamed(4);
-    IncrementalPareto replay;
-    std::size_t lastChange = 0;
-    std::size_t maxGap = 0;
-    for (std::size_t i = 0; i < full.points.size(); ++i) {
-        if (replay.add(full.points[i])) {
-            maxGap = std::max(maxGap, i - lastChange);
-            lastChange = i;
-        }
-    }
-    const std::size_t tail = full.points.size() - 1 - lastChange;
-    const std::size_t window = maxGap + 1;
-    ASSERT_GT(tail, window)
-        << "the DSE's frontier stabilizes too late for an early-exit "
-           "test; pick a different grid";
-
-    DseStreamOptions options;
-    options.stableWindow = window;
-    std::size_t updates = 0;
-    options.onFrontierUpdate =
-        [&](std::size_t, const std::vector<DesignPoint> &) {
-            ++updates;
-        };
-    const DseStreamResult early =
-        dse.enumerateStreamed(4, allConfigs(), options);
-
-    EXPECT_TRUE(early.earlyExit);
-    EXPECT_LT(early.points.size(), full.points.size());
-    EXPECT_LT(early.shardsCompleted, early.shardsTotal);
-    EXPECT_GT(updates, 0u);
-    expectSameFrontier(full.frontier, early.frontier, "early-exit");
 }
 
 // ---------------------------------------------------------------------

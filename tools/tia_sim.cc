@@ -65,6 +65,10 @@
  *   --cache-verify     with --cache: re-simulate every hit and fail
  *                      unless the cached report is bit-identical
  *
+ * Numeric arguments are decimal or 0x-prefixed hex and are range
+ * checked: --reg against the fabric's PEs and registers, --pes up to
+ * 4096, addresses and values to 32 bits.
+ *
  * Single-PE programs with no wiring options get the conventional port
  * map automatically: read port on %o0/%i0, write port on %o1/%o2.
  *
@@ -75,8 +79,10 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -89,7 +95,7 @@
 #include "cache/simcache.hh"
 #include "core/assembler.hh"
 #include "core/logging.hh"
-#include "exec/sweep.hh"
+#include "exec/pipeline.hh"
 #include "exec/thread_pool.hh"
 #include "obs/binary_ring.hh"
 #include "obs/chrome_trace.hh"
@@ -126,16 +132,47 @@ appendf(std::string &out, const char *fmt, ...)
     out += buf;
 }
 
-/** Split "12.3:4.5"-style argument forms on the given separators. */
+/** Largest --pes value: far beyond any fabric the paper models, small
+ *  enough that a typo cannot exhaust memory. */
+constexpr std::uint64_t kMaxPes = 4096;
+constexpr std::uint64_t kMaxWord = 0xffffffffu;
+
+/**
+ * Parse one numeric argument of option @p what: decimal digits, or
+ * 0x-prefixed hex digits, at most @p max. Anything else (a sign,
+ * blanks, trailing text, overflow) exits with a diagnostic naming the
+ * option.
+ */
+std::uint64_t
+parseNumber(const std::string &text, const std::string &what,
+            std::uint64_t max)
+{
+    const bool hex = text.size() > 2 && text[0] == '0' &&
+                     (text[1] == 'x' || text[1] == 'X');
+    const char *first = text.data() + (hex ? 2 : 0);
+    const char *last = text.data() + text.size();
+    std::uint64_t value = 0;
+    const auto [end, error] =
+        std::from_chars(first, last, value, hex ? 16 : 10);
+    fatalIf(first == last || end != last ||
+                error == std::errc::invalid_argument,
+            what, " wants a non-negative integer, got \"", text, "\"");
+    fatalIf(error == std::errc::result_out_of_range || value > max, what,
+            " value ", text, " is out of range (at most ", max, ")");
+    return value;
+}
+
+/** Split "12.3:4.5"-style arguments of option @p what on the given
+ *  separators; every field is a 32-bit value. */
 std::vector<unsigned long>
-numbers(const std::string &text, const std::string &separators)
+numbers(const std::string &text, const std::string &separators,
+        const std::string &what)
 {
     std::vector<unsigned long> values;
     std::string current;
     auto flush = [&] {
-        fatalIf(current.empty(), "malformed option argument \"", text,
-                "\"");
-        values.push_back(std::stoul(current, nullptr, 0));
+        values.push_back(static_cast<unsigned long>(
+            parseNumber(current, what, kMaxWord)));
         current.clear();
     };
     for (char c : text) {
@@ -317,9 +354,15 @@ run(const Options &opt)
                              static_cast<unsigned>(w[1]),
                              static_cast<unsigned>(w[2]));
     }
+    for (const auto &r : opt.regs) {
+        fatalIf(r[0] >= pes, "--reg PE ", r[0],
+                " out of range: the fabric has ", pes, " PE(s)");
+        fatalIf(r[1] >= params.numRegs, "--reg register ", r[1],
+                " out of range: a PE has ", params.numRegs, " register(s)");
+    }
     std::vector<std::vector<Word>> reg_files(pes);
     for (const auto &r : opt.regs) {
-        auto &file = reg_files.at(r[0]);
+        auto &file = reg_files[r[0]];
         if (file.size() <= r[1])
             file.resize(r[1] + 1, 0);
         file[r[1]] = static_cast<Word>(r[2]);
@@ -648,9 +691,14 @@ run(const Options &opt)
         return std::make_pair(report.code, std::move(report.text));
     };
 
-    const SweepEngine engine(uarchs.size() == 1 ? 1 : opt.jobs);
-    const auto sweep = engine.map(uarchs.size(), simulate);
-    const auto &results = sweep.values;
+    std::vector<std::pair<int, std::string>> results;
+    results.reserve(uarchs.size());
+    const SweepPipeline pipeline(uarchs.size() == 1 ? 1 : opt.jobs);
+    const PipelineResult sweep = pipeline.run(
+        uarchs.size(), simulate,
+        [&](std::size_t, std::pair<int, std::string> &&result) {
+            results.push_back(std::move(result));
+        });
 
     if (cache) {
         std::string save_error;
@@ -702,37 +750,39 @@ main(int argc, char **argv)
             } else if (arg == "-u") {
                 opt.uarch = next();
             } else if (arg == "--pes") {
-                opt.pes = static_cast<unsigned>(std::stoul(next()));
+                opt.pes = static_cast<unsigned>(
+                    parseNumber(next(), arg, kMaxPes));
             } else if (arg == "--jobs") {
                 opt.jobs = ThreadPool::parseJobs(next());
             } else if (arg == "--connect") {
-                const auto v = numbers(next(), ".:");
+                const auto v = numbers(next(), ".:", arg);
                 fatalIf(v.size() != 4, "--connect wants A.O:B.I");
                 opt.connects.push_back({v[0], v[1], v[2], v[3]});
             } else if (arg == "--read-port") {
-                const auto v = numbers(next(), ".");
+                const auto v = numbers(next(), ".", arg);
                 fatalIf(v.size() != 3, "--read-port wants P.A.D");
                 opt.readPorts.push_back({v[0], v[1], v[2]});
             } else if (arg == "--write-port") {
-                const auto v = numbers(next(), ".");
+                const auto v = numbers(next(), ".", arg);
                 fatalIf(v.size() != 3, "--write-port wants P.A.D");
                 opt.writePorts.push_back({v[0], v[1], v[2]});
             } else if (arg == "--reg") {
-                const auto v = numbers(next(), ".=");
+                const auto v = numbers(next(), ".=", arg);
                 fatalIf(v.size() != 3, "--reg wants P.R=V");
                 opt.regs.push_back({v[0], v[1], v[2]});
             } else if (arg == "--mem") {
-                const auto v = numbers(next(), "=");
+                const auto v = numbers(next(), "=", arg);
                 fatalIf(v.size() != 2, "--mem wants A=V");
                 opt.mems.push_back({v[0], v[1]});
             } else if (arg == "--dump") {
-                const auto v = numbers(next(), ":");
+                const auto v = numbers(next(), ":", arg);
                 fatalIf(v.empty() || v.size() > 2, "--dump wants A[:N]");
                 opt.dumps.push_back({v[0], v.size() > 1 ? v[1] : 1});
             } else if (arg == "--max-cycles") {
-                opt.maxCycles = std::stoull(next());
+                opt.maxCycles = parseNumber(next(), arg, UINT64_MAX);
             } else if (arg == "--quiescence") {
-                opt.quiescenceWindow = std::stoull(next());
+                opt.quiescenceWindow =
+                    parseNumber(next(), arg, UINT64_MAX);
             } else if (arg == "--inject") {
                 opt.injectPlan = next();
             } else if (arg == "--watchdog") {

@@ -23,18 +23,6 @@
  *   --suite-cpi  drive the DSE with suite-average CPI instead of the
  *                paper's bst-only methodology
  *   --no-dse     emit only the CPI matrix
- *   --incremental  overlap the DSE with the CPI matrix: each config's
- *                design shards are enumerated in the matrix sink as
- *                soon as its CPI lands (while later rows simulate),
- *                streaming Pareto-frontier updates to stderr, and the
- *                enumeration stops once the frontier has been stable
- *                for --stable-window consecutive design points. The
- *                "dse" block gains incremental/early-exit fields plus
- *                "overlapped": true and "dse_phase_ms", the residual
- *                post-matrix DSE time (the overlap win: wall_ms worth
- *                of enumeration now hides inside the matrix phase)
- *   --stable-window N  early-exit window for --incremental
- *                (default 500 points; 0 = never exit early)
  *   --out FILE   write the JSON to FILE instead of stdout
  *   --metrics FILE  also write a tia-metrics/v1 document with one run
  *                entry per matrix cell (validate with
@@ -52,8 +40,6 @@
  * ("tia-sweep/v1").
  */
 
-#include <cctype>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -67,8 +53,6 @@
 #include "obs/metrics.hh"
 #include "sim/functional.hh"
 #include "vlsi/dse.hh"
-#include "vlsi/pareto.hh"
-#include "vlsi/timing.hh"
 #include "workloads/cpi.hh"
 #include "workloads/runner.hh"
 
@@ -82,8 +66,6 @@ struct Options
     bool small = false;
     bool suiteCpi = false;
     bool dse = true;
-    bool incremental = false; ///< Stream frontier updates + early exit.
-    std::size_t stableWindow = 500;
     std::string configs = "all";
     std::string outPath;
     std::string metricsPath;
@@ -177,74 +159,6 @@ run(const Options &opt)
     std::vector<std::string> cycleRows(configs.size());
     std::vector<std::string> statusRows(configs.size());
 
-    // Overlapped DSE (--incremental on the pipeline): each config's
-    // design shards are enumerated right here in the sink once its
-    // driving CPI lands, so the DSE's compute hides inside the matrix
-    // phase instead of trailing it. Shards run in the same
-    // config-major order as DesignSpace::enumerateStreamed, so the
-    // frontier is identical; the work is speculative and discarded if
-    // any cell fails (no "dse" block is emitted then anyway).
-    const bool overlapDse = opt.dse && opt.incremental;
-    struct OverlapState
-    {
-        IncrementalPareto pareto;
-        std::size_t sinceChange = 0;
-        std::size_t evaluated = 0;
-        std::size_t shardsCompleted = 0;
-        bool stopped = false;   ///< stableWindow reached.
-        double computeMs = 0.0; ///< Enumeration time inside the sink.
-    } overlap;
-    std::size_t bstIndex = suite.size();
-    for (std::size_t w = 0; w < suite.size(); ++w) {
-        if (suite[w].name == "bst")
-            bstIndex = w;
-    }
-    std::vector<double> rowCpiSum(configs.size(), 0.0);
-    std::vector<std::uint8_t> rowOk(configs.size(), 1);
-    const auto enumerateConfig = [&](const PeConfig &config, double cpi) {
-        if (overlap.stopped)
-            return;
-        const auto start = std::chrono::steady_clock::now();
-        const DesignSpace space(CpiTable{{config.name(), cpi}});
-        for (VtClass vt :
-             {VtClass::Low, VtClass::Standard, VtClass::High}) {
-            for (double vdd : DesignSpace::supplyGrid(vt)) {
-                if (overlap.stopped)
-                    break;
-                const double fmax =
-                    maxFrequencyMhz(config, vdd, vt, space.tech());
-                bool changed = false;
-                for (double f : space.frequencyGridMhz(vt, vdd)) {
-                    if (f > fmax)
-                        break;
-                    if (overlap.pareto.add(
-                            space.evaluate(config, vt, vdd, f))) {
-                        changed = true;
-                        overlap.sinceChange = 0;
-                    } else {
-                        ++overlap.sinceChange;
-                    }
-                    ++overlap.evaluated;
-                }
-                ++overlap.shardsCompleted;
-                if (changed) {
-                    std::fprintf(stderr,
-                                 "tia-sweep: frontier %zu points "
-                                 "after %zu design points\n",
-                                 overlap.pareto.frontier().size(),
-                                 overlap.pareto.pointsSeen());
-                }
-                if (opt.stableWindow != 0 &&
-                    overlap.sinceChange >= opt.stableWindow)
-                    overlap.stopped = true;
-            }
-        }
-        overlap.computeMs +=
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-    };
-
     const auto addCell = [&](std::size_t c, std::size_t w,
                              const WorkloadRun &cell) {
         std::string &cpiRow = cpiRows[c];
@@ -264,19 +178,6 @@ run(const Options &opt)
         if (!opt.metricsPath.empty()) {
             registry.addRun(workloadRunMetrics(cell, configs[c],
                                                suite[w].name));
-        }
-        if (!overlapDse)
-            return;
-        rowOk[c] = rowOk[c] && cell.ok();
-        if (opt.suiteCpi) {
-            rowCpiSum[c] += cell.worker.cpi();
-            if (w + 1 == suite.size() && rowOk[c]) {
-                enumerateConfig(configs[c],
-                                rowCpiSum[c] /
-                                    static_cast<double>(suite.size()));
-            }
-        } else if (w == bstIndex && cell.ok()) {
-            enumerateConfig(configs[c], cell.worker.cpi());
         }
     };
 
@@ -353,10 +254,6 @@ run(const Options &opt)
     json += "    ]\n  }";
 
     if (dsePhase) {
-        // Residual post-matrix DSE time: with the overlapped sink this
-        // is table assembly + frontier retrieval only — the
-        // enumeration itself (wall_ms) already ran during the matrix.
-        const auto phase_start = std::chrono::steady_clock::now();
         CpiTable table;
         if (opt.suiteCpi) {
             for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -379,56 +276,19 @@ run(const Options &opt)
         }
 
         const DesignSpace dse(std::move(table));
-        std::vector<DesignPoint> frontier;
-        double dse_ms = 0.0;
-        std::size_t evaluated = 0;
-        std::string incrementalJson;
-        if (overlapDse) {
-            frontier = overlap.pareto.frontier();
-            dse_ms = overlap.computeMs;
-            evaluated = overlap.evaluated;
-            std::size_t shards_per_config = 0;
-            for (VtClass vt :
-                 {VtClass::Low, VtClass::Standard, VtClass::High})
-                shards_per_config += DesignSpace::supplyGrid(vt).size();
-            const double phase_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - phase_start)
-                    .count();
-            incrementalJson +=
-                "    \"incremental\": true,\n    \"overlapped\": "
-                "true,\n    \"dse_phase_ms\": ";
-            jsonNumber(incrementalJson, phase_ms);
-            incrementalJson +=
-                ",\n    \"stable_window\": " +
-                std::to_string(opt.stableWindow) +
-                ",\n    \"early_exit\": " +
-                (overlap.stopped ? "true" : "false") +
-                ",\n    \"frontier_updates\": " +
-                std::to_string(overlap.pareto.updates()) +
-                ",\n    \"shards_completed\": " +
-                std::to_string(overlap.shardsCompleted) +
-                ",\n    \"shards_total\": " +
-                std::to_string(shards_per_config * configs.size()) +
-                ",\n";
-        } else {
-            DseStreamResult stream =
-                dse.enumerateStreamed(jobs, configs, {});
-            frontier = std::move(stream.frontier);
-            dse_ms = stream.wallMs;
-            evaluated = stream.points.size();
-        }
+        const DseStreamResult stream =
+            dse.enumerateStreamed(jobs, configs, {});
+        const std::vector<DesignPoint> &frontier = stream.frontier;
 
         json += ",\n  \"dse\": {\n";
         json += std::string("    \"cpi_source\": ") +
                 (opt.suiteCpi ? "\"suite-average\"" : "\"bst\"") + ",\n";
         json += "    \"wall_ms\": ";
-        jsonNumber(json, dse_ms);
+        jsonNumber(json, stream.wallMs);
         json += ",\n    \"grid_points\": " +
                 std::to_string(dse.gridSize(configs)) + ",\n";
-        json += incrementalJson;
-        json += "    \"evaluated\": " + std::to_string(evaluated) +
-                ",\n";
+        json += "    \"evaluated\": " +
+                std::to_string(stream.points.size()) + ",\n";
         json += "    \"pareto\": [\n";
         for (std::size_t i = 0; i < frontier.size(); ++i) {
             const DesignPoint &p = frontier[i];
@@ -522,22 +382,6 @@ main(int argc, char **argv)
                 opt.suiteCpi = true;
             } else if (arg == "--no-dse") {
                 opt.dse = false;
-            } else if (arg == "--incremental") {
-                opt.incremental = true;
-            } else if (arg == "--stable-window") {
-                const std::string text = next();
-                for (char c : text) {
-                    fatalIf(!std::isdigit(
-                                static_cast<unsigned char>(c)) ||
-                                text.empty(),
-                            "--stable-window wants a non-negative "
-                            "integer, got \"",
-                            text, "\"");
-                }
-                fatalIf(text.empty(), "--stable-window wants a "
-                                      "non-negative integer");
-                opt.stableWindow =
-                    static_cast<std::size_t>(std::stoull(text));
             } else if (arg == "--configs") {
                 opt.configs = next();
             } else if (arg == "--out") {
