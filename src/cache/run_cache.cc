@@ -135,8 +135,6 @@ encodeWorkloadRun(const WorkloadRun &run)
 
     out.u64(run.peStepsExecuted);
     out.u64(run.peStepsSkipped);
-    out.u64(run.resolutionSkips);
-    out.u64(run.resolutionFulls);
     return out.take();
 }
 
@@ -179,8 +177,6 @@ decodeWorkloadRun(const std::string &payload)
 
     run.peStepsExecuted = in.u64();
     run.peStepsSkipped = in.u64();
-    run.resolutionSkips = in.u64();
-    run.resolutionFulls = in.u64();
     if (!in.done())
         return std::nullopt;
     return run;

@@ -39,7 +39,7 @@ namespace tia {
  * Version of the cache key/payload serialization *and* of the
  * simulation semantics it memoizes. Bump on any change to either.
  */
-inline constexpr std::uint32_t kCacheSchemaVersion = 2;
+inline constexpr std::uint32_t kCacheSchemaVersion = 3;
 
 /**
  * Append-only little-endian byte writer. All multi-byte values are

@@ -417,4 +417,15 @@ JsonValue::parse(std::string_view text, std::string *error)
     return Parser(text).run(error);
 }
 
+bool
+writeTextFile(const std::string &path, std::string_view text)
+{
+    std::FILE *file = std::fopen(path.c_str(), "w");
+    if (file == nullptr)
+        return false;
+    const std::size_t written =
+        std::fwrite(text.data(), 1, text.size(), file);
+    return std::fclose(file) == 0 && written == text.size();
+}
+
 } // namespace tia

@@ -134,6 +134,13 @@ class JsonValue
     std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+/**
+ * Write @p text to @p path, replacing the file. Returns false unless
+ * the open, the write and the close all succeed: a full disk often
+ * surfaces only when the buffered bytes are flushed at close.
+ */
+bool writeTextFile(const std::string &path, std::string_view text);
+
 } // namespace tia
 
 #endif // TIA_OBS_JSON_HH

@@ -302,8 +302,6 @@ PipelinedPe::flushSpeculative()
             panicIf(pendingEnq_[inst.dst.index] == 0,
                     "enqueue accounting underflow on flush");
             --pendingEnq_[inst.dst.index];
-            // The flushed enqueue frees scheduler-visible space.
-            resolutionValid_ = false;
         }
         ++counters_.quashed;
         if (trace_) [[unlikely]]
@@ -392,7 +390,6 @@ PipelinedPe::doWriteback(InFlight &entry)
                 // predictions and their contexts — is wrong-path.
                 preds_ = specContexts_.front().fallbackPreds;
                 preds_ = (preds_ & ~bit) | (actual ? bit : 0);
-                resolutionValid_ = false; // predicate state restored
                 flushSpeculative();
                 specContexts_.clear();
                 // The squash also claims this cycle's issue slot: the
@@ -426,33 +423,13 @@ PipelinedPe::doWriteback(InFlight &entry)
 [[gnu::always_inline]] inline ScheduleResult
 PipelinedPe::resolveTriggers()
 {
-    if (referenceScheduler_) [[unlikely]] {
-        ++resolution_.fullResolves;
+    if (referenceScheduler_) [[unlikely]]
         return scheduleReference();
-    }
-    if (resolutionValid_) {
-        ++resolution_.incrementalSkips;
-        return cachedResolution_;
-    }
-    ++resolution_.fullResolves;
-    // Full resolve through stack-local status words: for the handful
-    // of queues a PE watches, recomputing them beats maintaining a
-    // per-queue memo. Only wait verdicts (no trigger / blocked on a pending
-    // predicate) are memoized: a fire changes its own resolution
-    // inputs at issue more often than not, so caching it buys a skip
-    // only in the rare self-invariant-fire loop while costing a dead
-    // store on every ordinary fire. With fire verdicts never cached,
-    // every fire comes from a full resolve, and the remaining
-    // invalidation sources are queue events, predicate commits,
-    // speculation repair, and external mutation.
-    const ScheduleResult result = schedule(
-        triggerDescs_, preds_, pendingPredMask_, computeStatusWords());
-    if (resolutionCacheEnabled_ &&
-        result.outcome != ScheduleOutcome::Fire) {
-        cachedResolution_ = result;
-        resolutionValid_ = true;
-    }
-    return result;
+    // Status words are recomputed on the stack every cycle: for the
+    // handful of queues a PE watches, that beats maintaining a
+    // per-queue memo.
+    return schedule(triggerDescs_, preds_, pendingPredMask_,
+                    computeStatusWords());
 }
 
 [[gnu::always_inline]] inline void
@@ -561,10 +538,6 @@ PipelinedPe::issue()
     if (opInfo(inst.op).isHalt)
         haltIssued_ = true;
 
-    // No cached verdict can survive a fire: fires only come from full
-    // resolves (fire verdicts are never cached, and a cached wait
-    // verdict cannot fire), so resolutionValid_ is already false here.
-
     // Segment-0 work happens in the issue cycle.
     if (segD() == 0) {
         if (!dataHazardFor(inst, slots_[0]->id))
@@ -651,9 +624,6 @@ PipelinedPe::step()
         if (--pendingPredWrites_[pendingPredCommit_->index] == 0)
             pendingPredMask_ &= ~bit;
         pendingPredCommit_.reset();
-        // Both the predicate value and the pending mask may have
-        // changed under the memoized verdict.
-        resolutionValid_ = false;
     }
     squashIssueThisCycle_ = false;
 }

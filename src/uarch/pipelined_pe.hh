@@ -85,12 +85,7 @@ class PipelinedPe
     void bindOutput(unsigned port, TaggedQueue *queue);
     void setRegs(const std::vector<Word> &values);
 
-    void
-    setPreds(std::uint64_t preds)
-    {
-        preds_ = preds;
-        resolutionValid_ = false;
-    }
+    void setPreds(std::uint64_t preds) { preds_ = preds; }
 
     /** Install a fault injector; @p id names this PE in the plan. */
     void
@@ -168,38 +163,6 @@ class PipelinedPe
     /** Output queues referenced by any trigger (bit per port). */
     std::uint32_t watchedOutputs() const { return usedOutputs_; }
 
-    // ----- Incremental trigger-resolution cache ------------------------
-    //
-    // With the cache armed (CycleFabric arms it when no fault injector
-    // is installed — stuck-status fault windows open without queue
-    // events), the PE memoizes its last wait verdict and replays it
-    // until a watched queue or a predicate input changes. Every
-    // invalidation source is a queue event (fabric-notified via
-    // invalidateResolution) or a PE-local state change (issue,
-    // writeback and commit sites). The dirty-tracking invariants are
-    // documented in docs/perf.md.
-
-    /**
-     * Arm or disarm the resolution cache. Disarmed (the default —
-     * standalone PEs have no fabric feeding them queue events) every
-     * resolution recomputes in full.
-     */
-    void
-    setResolutionCacheEnabled(bool enabled)
-    {
-        resolutionCacheEnabled_ = enabled;
-        resolutionValid_ = false;
-    }
-
-    /**
-     * Fabric notification that a channel bound to one of this PE's
-     * watched ports saw a push or pop: drops the memoized verdict.
-     */
-    void invalidateResolution() { resolutionValid_ = false; }
-
-    /** Host-side resolution accounting (counters.hh). */
-    const ResolutionStats &resolutionStats() const { return resolution_; }
-
     /** True once a halt instruction has retired. */
     bool halted() const { return halted_; }
 
@@ -265,10 +228,8 @@ class PipelinedPe
     QueueStatusWords computeStatusWords() const;
 
     /**
-     * Trigger resolution with caching and accounting: replay the
-     * memoized verdict when still valid, otherwise resolve (through
-     * the memo when armed, the plain mask path or the reference
-     * scheduler when not) and memoize.
+     * This cycle's trigger resolution: the mask scheduler, or the
+     * reference scheduler when setUseReferenceScheduler() is on.
      */
     ScheduleResult resolveTriggers();
 
@@ -390,13 +351,6 @@ class PipelinedPe
     unsigned peId_ = 0;
 
     PerfCounters counters_;
-
-    // Incremental trigger-resolution cache (see the public API block).
-    bool resolutionCacheEnabled_ = false;
-    /** cachedResolution_ is a replayable verdict. */
-    bool resolutionValid_ = false;
-    ScheduleResult cachedResolution_;
-    ResolutionStats resolution_;
 
     // Observability (optional, non-owning). Last on purpose: keeps
     // the per-cycle members above — counters_ especially — at their

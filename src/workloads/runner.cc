@@ -167,9 +167,6 @@ runCycleUncached(const Workload &workload, const PeConfig &uarch,
     const FabricStepStats steps = fabric.stepStats();
     run.peStepsExecuted = steps.peStepsExecuted;
     run.peStepsSkipped = steps.peStepsSkipped;
-    const ResolutionStats resolution = fabric.resolutionStats();
-    run.resolutionSkips = resolution.incrementalSkips;
-    run.resolutionFulls = resolution.fullResolves;
     for (unsigned pe = 0; pe < fabric.numPes(); ++pe)
         run.dynamicInstructions.push_back(
             fabric.pe(pe).counters().retired);
@@ -234,9 +231,6 @@ workloadRunMetrics(const WorkloadRun &run, const PeConfig &uarch,
 
     entry["sleep"] =
         sleepMetricsJson(run.peStepsExecuted, run.peStepsSkipped);
-
-    entry["resolution"] = resolutionMetricsJson(run.resolutionSkips,
-                                                run.resolutionFulls);
 
     JsonValue pes = JsonValue::array();
     pes.push(peMetricsJson(run.workerPe, run.worker, run.workerInFlight));

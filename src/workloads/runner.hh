@@ -124,11 +124,9 @@ struct WorkloadRun
     /** Host-side: PE steps elided by the idle sleep list (cycle runs). */
     std::uint64_t peStepsSkipped = 0;
     /**
-     * Host-side: trigger resolutions satisfied by a still-valid
-     * memoized verdict (dirty-queue incremental re-resolution) vs.
-     * recomputed in full. Skips + fulls covers every resolution the
-     * run performed; a run under the reference scheduler recomputes
-     * everything (skips == 0).
+     * Always zero: no simulator path writes them and the cache codec
+     * does not carry them. They stay only because
+     * perfbench/tia_perfbench.cc reads them (docs/perf.md).
      */
     std::uint64_t resolutionSkips = 0;
     std::uint64_t resolutionFulls = 0;

@@ -313,52 +313,6 @@ TEST(Observability, ValidatorRejectsBrokenCounters)
     EXPECT_TRUE(integrity) << problems.front();
 }
 
-/** A one-run document carrying @p sweep as its root "sweep" block. */
-std::vector<std::string>
-validateWithSweepBlock(JsonValue sweep)
-{
-    MetricsRegistry registry("test");
-    registry.addRun(JsonValue::parse(
-        R"({"uarch": "TDX", "status": "halted", "cycles": 0,
-            "pes": []})")
-                        .value());
-    registry.root()["sweep"] = std::move(sweep);
-    const auto doc = JsonValue::parse(registry.dump());
-    EXPECT_TRUE(doc.has_value());
-    return validateMetricsDocument(*doc);
-}
-
-TEST(Observability, ValidatorAcceptsResolutionSweepBlock)
-{
-    JsonValue sweep = JsonValue::object();
-    sweep["resolution"] = resolutionMetricsJson(40, 2);
-    const auto problems = validateWithSweepBlock(std::move(sweep));
-    EXPECT_TRUE(problems.empty())
-        << "first problem: " << problems.front();
-}
-
-TEST(Observability, ValidatorRejectsBrokenResolutionSweepBlock)
-{
-    // Skips plus fulls that do not add up to the resolution total.
-    JsonValue broken = resolutionMetricsJson(40, 2);
-    broken["triggers_resolved"] = std::uint64_t{41};
-    JsonValue sweep = JsonValue::object();
-    sweep["resolution"] = std::move(broken);
-    auto problems = validateWithSweepBlock(std::move(sweep));
-    ASSERT_FALSE(problems.empty());
-    bool identity = false;
-    for (const std::string &problem : problems)
-        identity |= problem.find("incremental_skips + full_resolves") !=
-                    std::string::npos;
-    EXPECT_TRUE(identity) << problems.front();
-
-    // A sweep block without "resolution" says nothing and is rejected.
-    problems = validateWithSweepBlock(JsonValue::object());
-    ASSERT_FALSE(problems.empty());
-    EXPECT_NE(problems.front().find("resolution"), std::string::npos)
-        << problems.front();
-}
-
 TEST(Observability, ValidatorRejectsWrongSchema)
 {
     const auto doc = JsonValue::parse(

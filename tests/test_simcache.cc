@@ -147,12 +147,12 @@ TEST(GoldenDigest, CanonicalWorkloadUarchPairs)
     EXPECT_EQ(workloadRunKey(makeDotProduct(sizes), PeConfig{},
                              defaults)
                   .hex(),
-              "e7d0fbd5aa2ba245b794dcc7284eaa88");
+              "d9de6fac21d886ae182cdf26395ec19a");
 
     // Deepest pipeline with both optimizations.
     const PeConfig deep{PipelineShape{true, true, true}, true, true};
     EXPECT_EQ(workloadRunKey(makeBst(sizes), deep, defaults).hex(),
-              "13794b7ca90b4167b431a9353e772bbf");
+              "53a748e8e881ae8ba41f601f4bd53ae2");
 
     // A seeded fault plan folds into the key.
     const FaultPlan plan = FaultPlan::parse("seed=7;drop:ch0@p0.01");
@@ -160,7 +160,7 @@ TEST(GoldenDigest, CanonicalWorkloadUarchPairs)
     injected.faults = &plan;
     injected.goldenCrossCheck = true;
     EXPECT_EQ(workloadRunKey(makeGcd(sizes), PeConfig{}, injected).hex(),
-              "106e383c45472c8fdcf5a922fd232011");
+              "b0ffa7a1aef585d886f91f3c2d840ef3");
 }
 
 TEST(GoldenDigest, KeySeparatesEveryInput)
@@ -398,6 +398,47 @@ TEST(SimCachePersist, ForeignFileIsDiscardedWhole)
     EXPECT_FALSE(cache.load(file.path(), &error));
     EXPECT_FALSE(error.empty());
     EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(SimCachePersist, StaleVersionTierIsDiscardedWhole)
+{
+    // Header: 8-byte magic, u32 file format version, u32 key schema
+    // version (little-endian). A tier written under another value of
+    // either contributes nothing, however sound its entries are.
+    struct Patch
+    {
+        std::size_t offset;
+        std::uint32_t value;
+        const char *message;
+    };
+    const Patch patches[] = {
+        {8, 2, "cache file format version 2"},
+        {12, kCacheSchemaVersion - 1, "cache key schema version"},
+    };
+    for (const Patch &patch : patches) {
+        SCOPED_TRACE(patch.message);
+        TempFile file("simcache_stale.tiasimc");
+        SimCache cache;
+        cache.put(digest128("a"), "alpha");
+        std::string error;
+        ASSERT_TRUE(cache.save(file.path(), &error)) << error;
+
+        std::ifstream in(file.path(), std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        std::string bytes = buf.str();
+        in.close();
+        ASSERT_GE(bytes.size(), patch.offset + 4);
+        for (unsigned i = 0; i < 4; ++i)
+            bytes[patch.offset + i] =
+                static_cast<char>(patch.value >> (8 * i));
+        std::ofstream(file.path(), std::ios::binary) << bytes;
+
+        SimCache stale;
+        EXPECT_FALSE(stale.load(file.path(), &error));
+        EXPECT_NE(error.find(patch.message), std::string::npos) << error;
+        EXPECT_EQ(stale.size(), 0u);
+    }
 }
 
 TEST(SimCachePersist, SavedFilesAreDeterministic)

@@ -94,6 +94,8 @@ assembleMode(const std::string &input, const ArchParams &params,
         for (std::uint32_t word : store)
             writeU32(out, word);
     }
+    out.close();
+    fatalIf(!out, "cannot write ", output);
     std::fprintf(stderr, "%s: %u PE(s), %u static instruction(s), %u "
                  "words/PE -> %s\n",
                  input.c_str(), program.numPes(),

@@ -50,7 +50,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -383,9 +382,8 @@ run(const Options &opt)
         doc["server"] = std::move(serverStats);
         if (daemon > 0)
             doc["daemon_exit"] = daemonExit;
-        std::ofstream out(opt.benchPath, std::ios::trunc);
-        fatalIf(!out, "cannot write ", opt.benchPath);
-        out << doc.dump() << "\n";
+        fatalIf(!writeTextFile(opt.benchPath, doc.dump() + "\n"),
+                "cannot write ", opt.benchPath);
         std::fprintf(stderr, "tia-loadgen: wrote %s\n",
                      opt.benchPath.c_str());
     }

@@ -47,10 +47,10 @@
 
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "core/logging.hh"
+#include "obs/json.hh"
 #include "serve/server.hh"
 
 namespace {
@@ -150,9 +150,12 @@ main(int argc, char **argv)
             std::fprintf(stderr, "tia-serve: %s\n", error.c_str());
             return 1;
         }
-        if (!portFile.empty() && server.tcpPort() >= 0) {
-            std::ofstream out(portFile, std::ios::trunc);
-            out << server.tcpPort() << "\n";
+        if (!portFile.empty() && server.tcpPort() >= 0 &&
+            !writeTextFile(portFile,
+                           std::to_string(server.tcpPort()) + "\n")) {
+            std::fprintf(stderr, "tia-serve: cannot write %s\n",
+                         portFile.c_str());
+            return 1;
         }
         std::string listening = "tia-serve: listening on";
         if (!unixPath.empty())
@@ -189,14 +192,12 @@ main(int argc, char **argv)
                          error.c_str());
             return 1;
         }
-        if (!metricsPath.empty()) {
-            std::ofstream out(metricsPath, std::ios::trunc);
-            if (!out) {
-                std::fprintf(stderr, "tia-serve: cannot write %s\n",
-                             metricsPath.c_str());
-                return 1;
-            }
-            out << server.metricsDocument().dump() << "\n";
+        if (!metricsPath.empty() &&
+            !writeTextFile(metricsPath,
+                           server.metricsDocument().dump() + "\n")) {
+            std::fprintf(stderr, "tia-serve: cannot write %s\n",
+                         metricsPath.c_str());
+            return 1;
         }
         const Server::Counters c = server.counters();
         std::fprintf(stderr,

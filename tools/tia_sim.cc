@@ -548,21 +548,6 @@ run(const Options &opt)
                         ? 100.0 * static_cast<double>(steps.peStepsSkipped) /
                               static_cast<double>(total)
                         : 0.0);
-            const ResolutionStats resolution = fabric.resolutionStats();
-            const std::uint64_t resolved = resolution.triggersResolved();
-            appendf(text,
-                    "  trigger resolutions: %llu incremental skip(s), "
-                    "%llu full (%.1f%% skipped)\n",
-                    static_cast<unsigned long long>(
-                        resolution.incrementalSkips),
-                    static_cast<unsigned long long>(
-                        resolution.fullResolves),
-                    resolved > 0
-                        ? 100.0 *
-                              static_cast<double>(
-                                  resolution.incrementalSkips) /
-                              static_cast<double>(resolved)
-                        : 0.0);
         }
         if (chrome != nullptr) {
             fatalIf(!chrome->writeTo(opt.tracePath), "cannot write ",

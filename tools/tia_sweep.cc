@@ -330,14 +330,6 @@ run(const Options &opt)
         registry.root()["sizes"] = opt.small ? "small" : "full";
         if (cache)
             registry.root()["cache"] = cache->statsJson();
-        JsonValue sweep = JsonValue::object();
-        std::uint64_t skips = 0, fulls = 0;
-        for (const WorkloadRun &run : matrix.runs) {
-            skips += run.resolutionSkips;
-            fulls += run.resolutionFulls;
-        }
-        sweep["resolution"] = resolutionMetricsJson(skips, fulls);
-        registry.root()["sweep"] = std::move(sweep);
         fatalIf(!registry.writeTo(opt.metricsPath), "cannot write ",
                 opt.metricsPath);
     }
@@ -345,10 +337,8 @@ run(const Options &opt)
     if (opt.outPath.empty()) {
         std::fputs(json.c_str(), stdout);
     } else {
-        std::FILE *out = std::fopen(opt.outPath.c_str(), "w");
-        fatalIf(out == nullptr, "cannot open ", opt.outPath);
-        std::fputs(json.c_str(), out);
-        std::fclose(out);
+        fatalIf(!writeTextFile(opt.outPath, json), "cannot write ",
+                opt.outPath);
     }
     std::fprintf(stderr,
                  "tia-sweep: %zu configs x %zu workloads on %u worker "
