@@ -1,11 +1,15 @@
 #include "cache/digest.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
 namespace tia {
 
 namespace {
+
+constexpr std::uint64_t c1 = 0x87c37b91114253d5ull;
+constexpr std::uint64_t c2 = 0x4cf5ad432745937full;
 
 inline std::uint64_t
 rotl64(std::uint64_t x, int r)
@@ -33,56 +37,83 @@ load64(const std::uint8_t *p)
     return v; // all supported hosts are little-endian (asserted below)
 }
 
+/** Mix one 16-byte block into the running state. */
+inline void
+mixBlock(std::uint64_t &h1, std::uint64_t &h2, const std::uint8_t *block)
+{
+    std::uint64_t k1 = load64(block);
+    std::uint64_t k2 = load64(block + 8);
+
+    k1 *= c1;
+    k1 = rotl64(k1, 31);
+    k1 *= c2;
+    h1 ^= k1;
+    h1 = rotl64(h1, 27);
+    h1 += h2;
+    h1 = h1 * 5 + 0x52dce729;
+
+    k2 *= c2;
+    k2 = rotl64(k2, 33);
+    k2 *= c1;
+    h2 ^= k2;
+    h2 = rotl64(h2, 31);
+    h2 += h1;
+    h2 = h2 * 5 + 0x38495ab5;
+}
+
 } // namespace
 
-Digest128
-digest128(const void *data, std::size_t size)
+// The persistent tier stores raw digests, so the value must not depend
+// on host byte order. Everything this repo targets is little-endian;
+// make a byte-order change loud instead of silent.
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "mixed-endian hosts unsupported");
+static_assert(std::endian::native == std::endian::little,
+              "digest128 assumes a little-endian host (the cache "
+              "file format is defined in little-endian terms)");
+
+Digest128Builder &
+Digest128Builder::update(const void *data, std::size_t size)
 {
-    // The persistent tier stores raw digests, so the value must not
-    // depend on host byte order. Everything this repo targets is
-    // little-endian; make a byte-order change loud instead of silent.
-    static_assert(std::endian::native == std::endian::little ||
-                      std::endian::native == std::endian::big,
-                  "mixed-endian hosts unsupported");
-    static_assert(std::endian::native == std::endian::little,
-                  "digest128 assumes a little-endian host (the cache "
-                  "file format is defined in little-endian terms)");
-
-    constexpr std::uint64_t kSeed = 0x7469612d73696d63ull; // "tia-simc"
-    constexpr std::uint64_t c1 = 0x87c37b91114253d5ull;
-    constexpr std::uint64_t c2 = 0x4cf5ad432745937full;
-
+    if (size == 0)
+        return *this;
     const auto *bytes = static_cast<const std::uint8_t *>(data);
-    const std::size_t nblocks = size / 16;
+    const std::size_t pending = length_ & 15;
+    length_ += size;
+    // Local copies: the input bytes may alias the members, which would
+    // otherwise force a store and reload per block.
+    std::uint64_t h1 = h1_;
+    std::uint64_t h2 = h2_;
 
-    std::uint64_t h1 = kSeed;
-    std::uint64_t h2 = kSeed;
-
-    for (std::size_t i = 0; i < nblocks; ++i) {
-        std::uint64_t k1 = load64(bytes + i * 16);
-        std::uint64_t k2 = load64(bytes + i * 16 + 8);
-
-        k1 *= c1;
-        k1 = rotl64(k1, 31);
-        k1 *= c2;
-        h1 ^= k1;
-        h1 = rotl64(h1, 27);
-        h1 += h2;
-        h1 = h1 * 5 + 0x52dce729;
-
-        k2 *= c2;
-        k2 = rotl64(k2, 33);
-        k2 *= c1;
-        h2 ^= k2;
-        h2 = rotl64(h2, 31);
-        h2 += h1;
-        h2 = h2 * 5 + 0x38495ab5;
+    // Top up a partial block left by the previous update first.
+    if (pending != 0) {
+        const std::size_t take = std::min(size, 16 - pending);
+        std::memcpy(tail_ + pending, bytes, take);
+        if (pending + take < 16)
+            return *this;
+        mixBlock(h1, h2, tail_);
+        bytes += take;
+        size -= take;
     }
+    for (; size >= 16; bytes += 16, size -= 16)
+        mixBlock(h1, h2, bytes);
+    if (size != 0)
+        std::memcpy(tail_, bytes, size);
+    h1_ = h1;
+    h2_ = h2;
+    return *this;
+}
 
-    const std::uint8_t *tail = bytes + nblocks * 16;
+Digest128
+Digest128Builder::finish() const
+{
+    std::uint64_t h1 = h1_;
+    std::uint64_t h2 = h2_;
+    const std::uint8_t *tail = tail_;
     std::uint64_t k1 = 0;
     std::uint64_t k2 = 0;
-    switch (size & 15) {
+    switch (length_ & 15) {
       case 15: k2 ^= std::uint64_t(tail[14]) << 48; [[fallthrough]];
       case 14: k2 ^= std::uint64_t(tail[13]) << 40; [[fallthrough]];
       case 13: k2 ^= std::uint64_t(tail[12]) << 32; [[fallthrough]];
@@ -114,8 +145,8 @@ digest128(const void *data, std::size_t size)
         break;
     }
 
-    h1 ^= static_cast<std::uint64_t>(size);
-    h2 ^= static_cast<std::uint64_t>(size);
+    h1 ^= length_;
+    h2 ^= length_;
     h1 += h2;
     h2 += h1;
     h1 = fmix64(h1);

@@ -46,8 +46,44 @@ struct Digest128
     auto operator<=>(const Digest128 &) const = default;
 };
 
+/**
+ * Incremental MurmurHash3 x64 128 (fixed seed): the digest of the
+ * concatenation of every update(), for any split of the input. The
+ * state is small and copyable, so a caller can digest a shared prefix
+ * once and finish many keys from copies of it (cache/run_cache.hh
+ * does this for the uarch-independent inputs of a workload).
+ */
+class Digest128Builder
+{
+  public:
+    /** Append @p size bytes at @p data. */
+    Digest128Builder &update(const void *data, std::size_t size);
+
+    Digest128Builder &
+    update(std::string_view bytes)
+    {
+        return update(bytes.data(), bytes.size());
+    }
+
+    /** Digest of everything appended so far; the state is unchanged. */
+    Digest128 finish() const;
+
+  private:
+    static constexpr std::uint64_t kSeed = 0x7469612d73696d63ull; // "tia-simc"
+
+    std::uint64_t h1_ = kSeed;
+    std::uint64_t h2_ = kSeed;
+    /** Total bytes appended; length_ % 16 of them wait in tail_. */
+    std::uint64_t length_ = 0;
+    std::uint8_t tail_[16] = {};
+};
+
 /** MurmurHash3 x64 128 of @p size bytes at @p data (fixed seed). */
-Digest128 digest128(const void *data, std::size_t size);
+inline Digest128
+digest128(const void *data, std::size_t size)
+{
+    return Digest128Builder().update(data, size).finish();
+}
 
 inline Digest128
 digest128(std::string_view bytes)

@@ -73,9 +73,8 @@ readStringList(ByteReader &in, std::vector<std::string> &list)
 
 } // namespace
 
-Digest128
-workloadRunKey(const Workload &workload, const PeConfig &uarch,
-               const CycleRunOptions &options)
+Digest128Builder
+workloadInputDigest(const Workload &workload)
 {
     ByteWriter key;
     key.u32(kCacheSchemaVersion);
@@ -86,12 +85,21 @@ workloadRunKey(const Workload &workload, const PeConfig &uarch,
     key.u32(workload.workerPe);
 
     // The input image: run the (deterministic) preload on a scratch
-    // memory. Costs one footprint-sized pass — negligible next to the
-    // simulation it may save.
+    // memory. This pass and the image's bytes are most of a key's
+    // cost, which is why a sweep digests them once per workload, not
+    // once per cell (runCycleMatrixStreamed).
     Memory image(workload.config.memoryWords);
     workload.preload(image);
     serializeMemoryImage(key, image);
 
+    return Digest128Builder().update(key.data());
+}
+
+Digest128
+workloadRunKey(const Digest128Builder &inputs, const PeConfig &uarch,
+               const CycleRunOptions &options)
+{
+    ByteWriter key;
     serializePeConfig(key, uarch);
 
     key.u64(options.maxCycles);
@@ -103,7 +111,14 @@ workloadRunKey(const Workload &workload, const PeConfig &uarch,
     // so a cross-check run never silently reuses a fast-path result.
     key.u8(options.referenceScheduler ? 1 : 0);
 
-    return digest128(key.data());
+    return Digest128Builder(inputs).update(key.data()).finish();
+}
+
+Digest128
+workloadRunKey(const Workload &workload, const PeConfig &uarch,
+               const CycleRunOptions &options)
+{
+    return workloadRunKey(workloadInputDigest(workload), uarch, options);
 }
 
 std::string
@@ -148,8 +163,10 @@ decodeWorkloadRun(const std::string &payload)
     readCounters(in, run.worker);
     run.workerInFlight = in.u64();
     run.workerPe = in.u32();
+    // Division-form bounds: a crafted count must not wrap the check
+    // and reach reserve() (which would throw instead of missing).
     const std::uint64_t numPes = in.u64();
-    if (numPes * 8 > in.remaining())
+    if (numPes > in.remaining() / 8)
         return std::nullopt;
     run.dynamicInstructions.reserve(numPes);
     for (std::uint64_t i = 0; i < numPes; ++i)
@@ -164,7 +181,7 @@ decodeWorkloadRun(const std::string &payload)
 
     run.faultOutcome = static_cast<FaultOutcome>(in.u8());
     const std::uint64_t numLines = in.u64();
-    if (numLines * 24 > in.remaining())
+    if (numLines > in.remaining() / 24)
         return std::nullopt;
     run.faultStats.lines.reserve(numLines);
     for (std::uint64_t i = 0; i < numLines; ++i) {

@@ -29,12 +29,26 @@
 namespace tia {
 
 /**
- * Cache key for runCycle(workload, uarch, options). Invokes
+ * The uarch-independent half of a workload's cache key: the digest
+ * state after the schema version, domain, name, program, fabric
+ * config, worker PE and preloaded memory image. Invokes
  * workload.preload on a scratch Memory to capture the input image; the
  * golden-model check is assumed to be a pure function of the same
  * inputs (all Table 3 workloads satisfy this — their preload and check
  * closures are built deterministically from the same WorkloadSizes).
+ * A sweep computes this once per workload and resumes it per cell.
  */
+Digest128Builder workloadInputDigest(const Workload &workload);
+
+/**
+ * Cache key for runCycle(workload, uarch, options), finished from a
+ * copy of @p inputs = workloadInputDigest(workload).
+ */
+Digest128 workloadRunKey(const Digest128Builder &inputs,
+                         const PeConfig &uarch,
+                         const CycleRunOptions &options);
+
+/** Cache key for runCycle(workload, uarch, options). */
 Digest128 workloadRunKey(const Workload &workload, const PeConfig &uarch,
                          const CycleRunOptions &options);
 

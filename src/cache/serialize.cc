@@ -1,6 +1,7 @@
 #include "cache/serialize.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace tia {
 
@@ -133,6 +134,11 @@ serializeFaultPlan(ByteWriter &out, const FaultPlan *plan)
     out.str(plan->toString());
 }
 
+static_assert(std::endian::native == std::endian::little,
+              "serializeMemoryImage appends words in host byte order, "
+              "which must be the cache's little-endian form");
+static_assert(sizeof(Word) == 4, "memory image words serialize as u32");
+
 void
 serializeMemoryImage(ByteWriter &out, const Memory &memory)
 {
@@ -169,8 +175,9 @@ serializeMemoryImage(ByteWriter &out, const Memory &memory)
         const std::size_t count = std::min(
             Memory::chunkWords(),
             memory.size() - c * Memory::chunkWords());
-        for (std::size_t i = 0; i < count; ++i)
-            out.u32(chunk[i]);
+        // One append per chunk: on a little-endian host the words'
+        // in-memory bytes are already their u32 serialization.
+        out.bytes(chunk, count * sizeof(Word));
     }
 }
 

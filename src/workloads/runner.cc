@@ -1,5 +1,6 @@
 #include "workloads/runner.hh"
 
+#include <chrono>
 #include <optional>
 
 #include "cache/run_cache.hh"
@@ -16,6 +17,14 @@ namespace {
 /** The always-simulate core of runCycle; cached dispatch wraps this. */
 WorkloadRun runCycleUncached(const Workload &workload, const PeConfig &uarch,
                              const CycleRunOptions &options);
+
+/**
+ * runCycle's cached dispatch (options.cache set, no trace sink), keyed
+ * by resuming @p inputs = workloadInputDigest(workload).
+ */
+WorkloadRun runCycleCached(const Workload &workload, const PeConfig &uarch,
+                           const CycleRunOptions &options,
+                           const Digest128Builder &inputs);
 
 /**
  * Internal signal used by the cached dispatch path: a computation cut
@@ -88,8 +97,18 @@ runCycle(const Workload &workload, const PeConfig &uarch,
     // run with a sink installed always simulates.
     if (options.cache == nullptr || options.trace != nullptr)
         return runCycleUncached(workload, uarch, options);
+    return runCycleCached(workload, uarch, options,
+                          workloadInputDigest(workload));
+}
 
-    const Digest128 key = workloadRunKey(workload, uarch, options);
+namespace {
+
+WorkloadRun
+runCycleCached(const Workload &workload, const PeConfig &uarch,
+               const CycleRunOptions &options,
+               const Digest128Builder &inputs)
+{
+    const Digest128 key = workloadRunKey(inputs, uarch, options);
     std::string payload;
     for (;;) {
         try {
@@ -122,8 +141,6 @@ runCycle(const Workload &workload, const PeConfig &uarch,
     options.cache->put(key, encodeWorkloadRun(fresh));
     return fresh;
 }
-
-namespace {
 
 WorkloadRun
 runCycleUncached(const Workload &workload, const PeConfig &uarch,
@@ -261,10 +278,24 @@ runCycleMatrixStreamed(const std::vector<Workload> &workloads,
                        const CycleRunOptions &options, unsigned jobs,
                        const CycleMatrixSink &sink)
 {
+    // Timed from here, not by the pipeline, so wallMs includes the
+    // up-front input digests below.
+    const auto start = std::chrono::steady_clock::now();
     CycleMatrix matrix;
     matrix.numConfigs = configs.size();
     matrix.numWorkloads = workloads.size();
     matrix.runs.reserve(configs.size() * workloads.size());
+
+    // Every cell of a workload shares the uarch-independent half of
+    // its cache key, so digest it once per workload up front; cells
+    // only read these states, and each finishes from its own copy.
+    const bool cached = options.cache != nullptr && options.trace == nullptr;
+    std::vector<Digest128Builder> inputs;
+    if (cached) {
+        inputs.reserve(workloads.size());
+        for (const Workload &workload : workloads)
+            inputs.push_back(workloadInputDigest(workload));
+    }
 
     // Cell i = (c, w) in row-major order, run with the caller's
     // options plus the pipeline's fail-fast cancel token merged into
@@ -276,8 +307,11 @@ runCycleMatrixStreamed(const std::vector<Workload> &workloads,
         [&](std::size_t i, const StopToken &cancel) {
             CycleRunOptions task = options;
             task.stop = StopToken::anyOf(options.stop, cancel);
-            return runCycle(workloads[i % workloads.size()],
-                            configs[i / workloads.size()], task);
+            const std::size_t w = i % workloads.size();
+            const PeConfig &uarch = configs[i / workloads.size()];
+            return cached ? runCycleCached(workloads[w], uarch, task,
+                                           inputs[w])
+                          : runCycleUncached(workloads[w], uarch, task);
         },
         [&](std::size_t i, WorkloadRun &&run) {
             matrix.runs.push_back(std::move(run));
@@ -287,7 +321,9 @@ runCycleMatrixStreamed(const std::vector<Workload> &workloads,
             }
         });
     matrix.jobs = result.jobs;
-    matrix.wallMs = result.wallMs;
+    matrix.wallMs = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
     return matrix;
 }
 

@@ -18,9 +18,11 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -82,6 +84,71 @@ TEST(Digest, StableAcrossCalls)
     for (std::size_t len = 0; len <= base.size(); ++len) {
         const std::string s = base.substr(0, len);
         EXPECT_EQ(digest128(s), digest128(s)) << "len " << len;
+    }
+}
+
+/** @p size deterministic pseudo-random bytes. */
+std::string
+randomBytes(std::size_t size)
+{
+    Xorshift rng(42);
+    std::string bytes(size, '\0');
+    for (char &c : bytes)
+        c = static_cast<char>(rng.next());
+    return bytes;
+}
+
+TEST(Digest, BuilderMatchesOneShotAtEverySplit)
+{
+    // Lengths 0..300 reach every tail arm and many whole blocks; every
+    // split point puts an update boundary at each offset, including
+    // the 15/16/17-byte ones around a block edge.
+    const std::string data = randomBytes(300);
+    for (std::size_t len = 0; len <= data.size(); ++len) {
+        const std::string_view bytes(data.data(), len);
+        const Digest128 expected = digest128(bytes);
+        for (std::size_t split = 0; split <= len; ++split) {
+            Digest128Builder builder;
+            builder.update(bytes.substr(0, split))
+                .update(bytes.substr(split));
+            ASSERT_EQ(builder.finish(), expected)
+                << "len " << len << " split " << split;
+        }
+    }
+}
+
+TEST(Digest, BuilderMatchesOneShotOverManyChunks)
+{
+    const std::string data = randomBytes(300);
+    const Digest128 expected = digest128(data);
+    for (std::size_t chunk = 1; chunk <= 33; ++chunk) {
+        Digest128Builder builder;
+        for (std::size_t at = 0; at < data.size(); at += chunk) {
+            const std::string_view piece =
+                std::string_view(data).substr(at, chunk);
+            builder.update(piece);
+            // finish() is a read: it must not disturb the stream.
+            EXPECT_EQ(builder.finish(),
+                      digest128(data.substr(0, at + piece.size())));
+        }
+        EXPECT_EQ(builder.finish(), expected) << "chunk " << chunk;
+    }
+}
+
+TEST(Digest, BuilderCopiesResumeIndependently)
+{
+    // The run-cache pattern: digest a shared prefix once, then finish
+    // different suffixes from copies of that state.
+    const std::string data = randomBytes(100);
+    for (std::size_t cut : {0u, 15u, 16u, 17u, 40u}) {
+        const Digest128Builder prefix =
+            Digest128Builder().update(data.substr(0, cut));
+        for (const std::string &suffix :
+             {std::string(), std::string("x"), data.substr(cut)}) {
+            EXPECT_EQ(Digest128Builder(prefix).update(suffix).finish(),
+                      digest128(data.substr(0, cut) + suffix))
+                << "cut " << cut << " suffix " << suffix.size();
+        }
     }
 }
 
@@ -487,6 +554,62 @@ TEST(RunCodec, RejectsTruncatedAndTrailingBytes)
     EXPECT_FALSE(decodeWorkloadRun("").has_value());
 }
 
+/**
+ * A payload in encodeWorkloadRun's field order with every field zero
+ * or empty except the element counts of the two counted arrays, and
+ * no elements behind either count.
+ */
+std::string
+craftedRunPayload(std::uint64_t numPes, std::uint64_t numLines)
+{
+    ByteWriter out;
+    out.u8(static_cast<std::uint8_t>(RunStatus::Halted));
+    out.str("");                 // checkError
+    for (int i = 0; i < 14; ++i) // PerfCounters
+        out.u64(0);
+    out.u64(0);       // workerInFlight
+    out.u32(0);       // workerPe
+    out.u64(numPes);  // dynamicInstructions
+    out.u64(0);       // totalCycles
+    out.u8(0);        // hang.classification
+    out.str("");      // hang.summary
+    out.u64(0);       // hang.waitChain
+    out.u64(0);       // hang.blockedAgents
+    out.u8(0);        // faultOutcome
+    out.u64(numLines); // faultStats.lines
+    out.u64(0);       // peStepsExecuted
+    out.u64(0);       // peStepsSkipped
+    return out.take();
+}
+
+TEST(RunCodec, CraftedCountsDegradeToRecompute)
+{
+    // The mirror of the layout is right: zero counts decode.
+    ASSERT_TRUE(decodeWorkloadRun(craftedRunPayload(0, 0)).has_value());
+
+    // Counts whose byte sizes (x8 per PE, x24 per fault line) wrap 64
+    // bits to 8, which is less than the bytes left behind them.
+    const std::string payloads[] = {
+        craftedRunPayload(0x2000000000000001ull, 0),
+        craftedRunPayload(0, 0x0aaaaaaaaaaaaaabull),
+    };
+    const Workload w = makeGcd(WorkloadSizes::small());
+    const WorkloadRun expected = runCycle(w, PeConfig{});
+    for (const std::string &payload : payloads) {
+        std::optional<WorkloadRun> decoded;
+        EXPECT_NO_THROW(decoded = decodeWorkloadRun(payload));
+        EXPECT_FALSE(decoded.has_value());
+
+        SimCache cache;
+        cache.put(workloadRunKey(w, PeConfig{}, {}), payload);
+        CycleRunOptions options;
+        options.cache = &cache;
+        WorkloadRun run;
+        EXPECT_NO_THROW(run = runCycle(w, PeConfig{}, options));
+        EXPECT_EQ(run, expected);
+    }
+}
+
 TEST(RunCacheEndToEnd, CachedRunsAreBitIdentical)
 {
     const Workload w = makeDotProduct(WorkloadSizes::small());
@@ -555,6 +678,39 @@ TEST(RunCacheEndToEnd, MatrixWithCacheMatchesWithout)
               stats.lookups);
     // The warm pass can only hit.
     EXPECT_GE(stats.hits, plain.runs.size());
+}
+
+TEST(RunCacheEndToEnd, MatrixKeysEqualSingleRunKeys)
+{
+    // The matrix resumes one input digest per workload; runCycle
+    // digests from scratch. Both must land on the same key for every
+    // cell, clean and injected.
+    const std::vector<Workload> suite = allWorkloads(WorkloadSizes::small());
+    const std::vector<PeConfig> configs = allConfigs();
+    const FaultPlan plan = FaultPlan::parse("seed=5;mispredict:pe0@p0.05");
+    CycleRunOptions injected;
+    injected.faults = &plan;
+    injected.goldenCrossCheck = true;
+
+    for (const CycleRunOptions &base : {CycleRunOptions{}, injected}) {
+        SimCache cache;
+        CycleRunOptions options = base;
+        options.cache = &cache;
+        const CycleMatrix matrix =
+            runCycleMatrix(suite, configs, options, 2);
+        ASSERT_EQ(cache.size(), matrix.runs.size());
+
+        const SimCache::Stats before = cache.stats();
+        for (std::size_t c = 0; c < configs.size(); ++c)
+            for (std::size_t w = 0; w < suite.size(); ++w)
+                EXPECT_EQ(runCycle(suite[w], configs[c], options),
+                          matrix.run(c, w))
+                    << configs[c].name() << " " << suite[w].name;
+        const SimCache::Stats after = cache.stats();
+        EXPECT_EQ(after.hits - before.hits, matrix.runs.size());
+        EXPECT_EQ(after.misses, before.misses);
+        EXPECT_EQ(cache.size(), matrix.runs.size());
+    }
 }
 
 TEST(RunCacheEndToEnd, CorruptEntryDegradesToRecompute)

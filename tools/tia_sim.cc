@@ -461,8 +461,9 @@ run(const Options &opt)
     }
 
     // Cache key for one swept microarchitecture: everything the report
-    // text and metrics entry are a function of.
-    auto reportKey = [&](const PeConfig &uarch) {
+    // text and metrics entry are a function of. Only the uarch varies
+    // across the sweep, so it goes last and the rest is digested once.
+    const Digest128Builder reportInputs = [&] {
         ByteWriter key;
         key.u32(kCacheSchemaVersion);
         key.str("tia.sim-report");
@@ -484,8 +485,12 @@ run(const Options &opt)
         key.u8(opt.stats ? 1 : 0);
         key.u8(opt.metricsPath.empty() ? 0 : 1);
         serializeFaultPlan(key, plan ? &*plan : nullptr);
+        return Digest128Builder().update(key.data());
+    }();
+    auto reportKey = [&](const PeConfig &uarch) {
+        ByteWriter key;
         serializePeConfig(key, uarch);
-        return digest128(key.data());
+        return Digest128Builder(reportInputs).update(key.data()).finish();
     };
 
     // Per-run metrics entries, written by index — safe under a
