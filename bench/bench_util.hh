@@ -14,10 +14,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "cache/simcache.hh"
+#include "core/logging.hh"
+#include "exec/thread_pool.hh"
 #include "workloads/runner.hh"
 #include "workloads/workload.hh"
 
@@ -39,15 +40,22 @@ benchSizes()
 /**
  * Sweep worker threads for bench runs: hardware concurrency by
  * default; set TIA_BENCH_JOBS=N to pin (N=1 forces the serial
- * reference loop). Results are identical either way.
+ * reference loop). Results are identical either way. The value is
+ * parsed like tia-sweep --jobs: junk exits with a diagnostic and
+ * absurd values are clamped with a warning.
  */
 inline unsigned
 benchJobs()
 {
     const char *jobs = std::getenv("TIA_BENCH_JOBS");
-    if (jobs != nullptr)
-        return static_cast<unsigned>(std::strtoul(jobs, nullptr, 10));
-    return 0; // SweepPipeline: hardware concurrency
+    if (jobs == nullptr)
+        return 0; // SweepPipeline: hardware concurrency
+    try {
+        return ThreadPool::parseJobs(jobs, "TIA_BENCH_JOBS");
+    } catch (const FatalError &error) {
+        std::fprintf(stderr, "bench: %s\n", error.what());
+        std::exit(2);
+    }
 }
 
 /**
@@ -88,15 +96,12 @@ class BenchCache
     BenchCache(const BenchCache &) = delete;
     BenchCache &operator=(const BenchCache &) = delete;
 
-    /** nullptr when TIA_BENCH_CACHE is unset. */
-    SimCache *get() { return cache_ ? &*cache_ : nullptr; }
-
     /** Run options with the cache (if any) installed. */
     CycleRunOptions
     options()
     {
         CycleRunOptions run_options;
-        run_options.cache = get();
+        run_options.cache = cache_ ? &*cache_ : nullptr;
         return run_options;
     }
 
@@ -104,71 +109,6 @@ class BenchCache
     std::string path_;
     std::optional<SimCache> cache_;
 };
-
-#ifdef BENCHMARK_BENCHMARK_H_
-
-/**
- * How the google-benchmark *library* was compiled ("release" or
- * "debug"). The library bakes its own NDEBUG state into
- * JSONReporter::ReportContext as "library_build_type", so rendering an
- * empty context and parsing that key recovers it at runtime — there is
- * no direct API. Distro packages ship debug-assert builds surprisingly
- * often, and a debug library skews every timing it brackets.
- */
-inline std::string
-benchmarkLibraryBuildType()
-{
-    std::ostringstream json;
-    benchmark::JSONReporter reporter;
-    reporter.SetOutputStream(&json);
-    reporter.SetErrorStream(&json);
-    reporter.ReportContext(benchmark::BenchmarkReporter::Context());
-    const std::string text = json.str();
-    const std::string key = "\"library_build_type\": \"";
-    const auto pos = text.find(key);
-    if (pos == std::string::npos)
-        return "unknown";
-    const auto start = pos + key.size();
-    const auto end = text.find('"', start);
-    if (end == std::string::npos)
-        return "unknown";
-    return text.substr(start, end - start);
-}
-
-/**
- * Cross-check the benchmark library's build type against this
- * project's: warn on stderr and tag the emitted context
- * ("build_type_mismatch") on disagreement, so a baseline produced
- * against a debug library is visible in BENCH_throughput.json at
- * review time. Call after benchmark::Initialize (the context needs the
- * executable name), before RunSpecifiedBenchmarks.
- */
-inline void
-checkBenchmarkBuildType()
-{
-#ifdef NDEBUG
-    const std::string project = "release";
-#else
-    const std::string project = "debug";
-#endif
-    const std::string library = benchmarkLibraryBuildType();
-    benchmark::AddCustomContext("project_build_type", project);
-    if (library != project) {
-        std::fprintf(
-            stderr,
-            "bench: WARNING: google-benchmark library is a %s build "
-            "but this project is a %s build; timings bracketed by "
-            "library code are skewed. Configure with "
-            "-DTIA_BENCHMARK_SOURCE_DIR=<benchmark checkout> to build "
-            "the library with the project's flags.\n",
-            library.c_str(), project.c_str());
-        benchmark::AddCustomContext("build_type_mismatch",
-                                    "library=" + library +
-                                        " project=" + project);
-    }
-}
-
-#endif // BENCHMARK_BENCHMARK_H_
 
 /** Print a banner naming the reproduced table/figure. */
 inline void

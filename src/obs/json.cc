@@ -72,6 +72,19 @@ indent(std::string &out, unsigned depth)
     out.append(2 * static_cast<std::size_t>(depth), ' ');
 }
 
+/** A non-empty object whose members are all scalars. */
+bool
+isFlatRecord(const JsonValue &value)
+{
+    if (!value.isObject() || value.members().empty())
+        return false;
+    for (const auto &member : value.members()) {
+        if (member.second.isArray() || member.second.isObject())
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 void
@@ -109,7 +122,9 @@ JsonValue::dumpTo(std::string &out, unsigned depth) const
             return;
         }
         // Arrays of scalars print inline; arrays with any container
-        // element print one element per line.
+        // element print one element per line. An element that is a
+        // flat record (an object of scalars) prints on that one line,
+        // as {"k": v, "k2": v2}, so a record list reads one per line.
         bool nested = false;
         for (const auto &item : items_)
             nested = nested || item.isArray() || item.isObject();
@@ -119,7 +134,20 @@ JsonValue::dumpTo(std::string &out, unsigned depth) const
                 out += '\n';
                 indent(out, depth + 1);
             }
-            items_[i].dumpTo(out, depth + 1);
+            const JsonValue &item = items_[i];
+            if (isFlatRecord(item)) {
+                out += '{';
+                for (std::size_t m = 0; m < item.members_.size(); ++m) {
+                    if (m)
+                        out += ", ";
+                    dumpString(out, item.members_[m].first);
+                    out += ": ";
+                    item.members_[m].second.dumpTo(out, depth + 1);
+                }
+                out += '}';
+            } else {
+                item.dumpTo(out, depth + 1);
+            }
             if (i + 1 < items_.size())
                 out += nested ? "," : ", ";
         }

@@ -114,7 +114,11 @@ class JsonValue
     /** Lookup without creation; nullptr if absent or not an object. */
     const JsonValue *find(const std::string &key) const;
 
-    /** Serialize with 2-space indentation per nesting level. */
+    /**
+     * Serialize with 2-space indentation per nesting level. Arrays of
+     * scalars print on one line; an array element that is a non-empty
+     * object of scalars prints on one line as {"k": v, "k2": v2}.
+     */
     std::string dump() const;
 
     /** Parse strict JSON; on failure returns nullopt and sets @p error. */

@@ -8,7 +8,7 @@
  * transitions — emitted by PipelinedPe and CycleFabric when a sink is
  * installed. With no sink installed every emission site is a single
  * predictable null-pointer test, so tracing costs nothing when off
- * (asserted against BENCH_throughput.json by bench_sim_throughput).
+ * (docs/observability.md, "Overhead when disabled").
  *
  * The counter cross-check contract: every event that corresponds to a
  * PerfCounters increment is emitted at exactly the statement that

@@ -7,13 +7,11 @@
  * emit and reject corrupted documents.
  */
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/binary_ring.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
@@ -233,31 +231,50 @@ TEST(Observability, PipelineSegmentNames)
               (std::vector<std::string>{"T", "DX1", "X2"}));
 }
 
-TEST(Observability, BinaryRingWrapsKeepingNewest)
+TEST(Observability, JsonFlatRecordsInArraysPrintInline)
 {
-    BinaryRingSink ring(16);
-    for (unsigned i = 0; i < 100; ++i) {
-        ring.record({/*cycle=*/i, /*pe=*/0, TraceEventKind::Issue,
-                     /*arg=*/0, /*index=*/static_cast<std::uint16_t>(i),
-                     /*value=*/i});
-    }
-    EXPECT_EQ(ring.size(), 16u);
-    EXPECT_EQ(ring.recorded(), 100u);
-    EXPECT_EQ(ring.dropped(), 84u);
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        EXPECT_EQ(ring.at(i).cycle, 84 + i) << i;
+    JsonValue record = JsonValue::object();
+    record["name"] = "a";
+    record["n"] = 1;
+    record["x"] = 0.5;
 
-    const std::string path = "obs_ring_test.bin";
-    ASSERT_TRUE(ring.writeTo(path));
-    std::vector<BinaryTraceRecord> records;
-    BinaryTraceFileHeader header;
-    ASSERT_TRUE(readBinaryTrace(path, records, &header));
-    std::remove(path.c_str());
-    EXPECT_EQ(header.totalRecorded, 100u);
-    EXPECT_EQ(header.stored, 16u);
-    ASSERT_EQ(records.size(), 16u);
-    for (std::size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(records[i], ring.at(i)) << i;
+    // Flat objects in an array print one per line; {} stays {}.
+    JsonValue rows = JsonValue::array();
+    rows.push(record);
+    rows.push(JsonValue::object());
+    EXPECT_EQ(rows.dump(),
+              "[\n  {\"name\": \"a\", \"n\": 1, \"x\": 0.5},\n  {}\n]\n");
+
+    // The same object as an object member stays multi-line.
+    JsonValue member = JsonValue::object();
+    member["record"] = record;
+    EXPECT_EQ(member.dump(), "{\n"
+                             "  \"record\": {\n"
+                             "    \"name\": \"a\",\n"
+                             "    \"n\": 1,\n"
+                             "    \"x\": 0.5\n"
+                             "  }\n"
+                             "}\n");
+
+    // An array element holding a nested container stays multi-line.
+    JsonValue nested = record;
+    nested["tags"] = JsonValue::array();
+    nested["tags"].push("t");
+    JsonValue list = JsonValue::array();
+    list.push(nested);
+    EXPECT_EQ(list.dump(), "[\n"
+                           "  {\n"
+                           "    \"name\": \"a\",\n"
+                           "    \"n\": 1,\n"
+                           "    \"x\": 0.5,\n"
+                           "    \"tags\": [\"t\"]\n"
+                           "  }\n"
+                           "]\n");
+
+    // The inline layout is still JSON.
+    const auto parsed = JsonValue::parse(rows.dump());
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->dump(), rows.dump());
 }
 
 TEST(Observability, MetricsDocumentsValidate)

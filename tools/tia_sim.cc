@@ -41,9 +41,6 @@
  *                      retire, quash, predictor, park/wake) or
  *                      "cycles" (adds per-stage occupancy tracks and
  *                      per-cycle channel depths)
- *   --trace-binary FILE  write the compact binary ring trace instead
- *                      of (or besides) the JSON one; keeps the last
- *                      1M records (see obs/binary_ring.hh)
  *   --metrics FILE     write a tia-metrics/v1 JSON document with one
  *                      run entry per swept microarchitecture
  *                      (validate with tia-metrics-check)
@@ -55,13 +52,12 @@
  *                      docs/simcache.md): memoize each swept run's
  *                      report under a digest of every input and
  *                      persist it to FILE. Cycle-accurate -u only;
- *                      incompatible with --trace/--trace-binary
- *                      (tracing is a side effect a cached result
- *                      cannot replay). With --stats, the per-run wall
- *                      line is replaced by a deterministic "sim
- *                      stats:" header so cached and fresh runs print
- *                      identical reports; cache hit/miss counts go to
- *                      stderr.
+ *                      incompatible with --trace (tracing is a side
+ *                      effect a cached result cannot replay). With
+ *                      --stats, the per-run wall line is replaced by
+ *                      a deterministic "sim stats:" header so cached
+ *                      and fresh runs print identical reports; cache
+ *                      hit/miss counts go to stderr.
  *   --cache-verify     with --cache: re-simulate every hit and fail
  *                      unless the cached report is bit-identical
  *
@@ -97,7 +93,6 @@
 #include "core/logging.hh"
 #include "exec/pipeline.hh"
 #include "exec/thread_pool.hh"
-#include "obs/binary_ring.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
 #include "sim/fault.hh"
@@ -230,7 +225,6 @@ struct Options
     bool watchdog = false;
     bool stats = false;
     std::string tracePath;       ///< Chrome trace_event JSON output.
-    std::string traceBinaryPath; ///< Binary ring trace output.
     TraceLevel traceLevel = TraceLevel::Events;
     std::string metricsPath;     ///< tia-metrics/v1 JSON output.
     std::string cachePath;       ///< Persistent result cache file.
@@ -388,8 +382,7 @@ run(const Options &opt)
             }
         }
     };
-    const bool tracing =
-        !opt.tracePath.empty() || !opt.traceBinaryPath.empty();
+    const bool tracing = !opt.tracePath.empty();
     if (opt.uarch == "functional") {
         fatalIf(!opt.injectPlan.empty(),
                 "--inject requires a cycle-accurate -u microarchitecture");
@@ -439,8 +432,7 @@ run(const Options &opt)
             "--trace wants a single -u microarchitecture (traces from a "
             "sweep would interleave)");
     fatalIf(tracing && !opt.cachePath.empty(),
-            "--cache cannot replay traces; drop --trace/--trace-binary "
-            "or the cache");
+            "--cache cannot replay traces; drop --trace or the cache");
     fatalIf(opt.cacheVerify && opt.cachePath.empty(),
             "--cache-verify needs --cache (there is nothing to verify "
             "without a warm tier)");
@@ -497,12 +489,12 @@ run(const Options &opt)
     // parallel sweep, assembled in list order afterwards.
     std::vector<JsonValue> metricsRuns(uarchs.size());
 
-    // Everything printed for one finished run. @p chrome / @p ring are
-    // the run's trace sinks (nullptr when tracing is off).
+    // Everything printed for one finished run. @p chrome is the run's
+    // trace sink (nullptr when tracing is off).
     auto renderReport = [&](CycleFabric &fabric, const PeConfig &uarch,
                             RunStatus status, FaultInjector *injector,
-                            double host_seconds, ChromeTraceSink *chrome,
-                            BinaryRingSink *ring) -> RunReport {
+                            double host_seconds,
+                            ChromeTraceSink *chrome) -> RunReport {
         std::string text;
         appendf(text, "%s simulation: %s after %llu cycles\n",
                 uarch.name().c_str(), runStatusName(status),
@@ -559,16 +551,6 @@ run(const Options &opt)
                     opt.tracePath);
             appendf(text, "trace: %s\n", opt.tracePath.c_str());
         }
-        if (ring != nullptr) {
-            fatalIf(!ring->writeTo(opt.traceBinaryPath), "cannot write ",
-                    opt.traceBinaryPath);
-            appendf(text,
-                    "binary trace: %s (%llu records stored, %llu "
-                    "dropped)\n",
-                    opt.traceBinaryPath.c_str(),
-                    static_cast<unsigned long long>(ring->size()),
-                    static_cast<unsigned long long>(ring->dropped()));
-        }
         RunReport result;
         if (!opt.metricsPath.empty()) {
             JsonValue entry = fabricRunMetrics(fabric, uarch, status);
@@ -607,32 +589,17 @@ run(const Options &opt)
                            injector ? &*injector : nullptr);
         preload(fabric.memory());
 
-        // Trace sinks live on this task's stack — --trace is rejected
-        // for multi-uarch sweeps, so at most one task builds them.
+        // The trace sink lives on this task's stack — --trace is
+        // rejected for multi-uarch sweeps, so at most one task builds it.
         std::optional<ChromeTraceSink> chrome;
-        std::optional<BinaryRingSink> ring;
-        TeeSink tee;
         if (!opt.tracePath.empty()) {
             chrome.emplace();
             for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
                 chrome->setPeMetadata(pe, "PE " + std::to_string(pe),
                                       uarch.shape.segmentNames());
             }
-            tee.add(&*chrome);
+            fabric.setTraceSink(&*chrome, opt.traceLevel);
         }
-        if (!opt.traceBinaryPath.empty()) {
-            ring.emplace(1u << 20);
-            tee.add(&*ring);
-        }
-        TraceSink *sink = nullptr;
-        if (chrome && ring)
-            sink = &tee;
-        else if (chrome)
-            sink = &*chrome;
-        else if (ring)
-            sink = &*ring;
-        if (sink != nullptr)
-            fabric.setTraceSink(sink, opt.traceLevel);
 
         const auto host_start = std::chrono::steady_clock::now();
         FabricRunOptions runOptions;
@@ -645,8 +612,7 @@ run(const Options &opt)
                 .count();
         return renderReport(fabric, uarch, status,
                             injector ? &*injector : nullptr,
-                            host_seconds, chrome ? &*chrome : nullptr,
-                            ring ? &*ring : nullptr);
+                            host_seconds, chrome ? &*chrome : nullptr);
     };
 
     // Cached dispatch around the fresh simulation; the metrics entry
@@ -781,8 +747,6 @@ main(int argc, char **argv)
                 opt.stats = true;
             } else if (arg == "--trace") {
                 opt.tracePath = next();
-            } else if (arg == "--trace-binary") {
-                opt.traceBinaryPath = next();
             } else if (arg == "--trace-level") {
                 const std::string level = next();
                 if (level == "events") {

@@ -4,10 +4,10 @@
  *
  * Runs the full uarch x workload CPI matrix (the Figure 5 product)
  * and the VLSI design-space exploration (Figures 6-8) on the streaming
- * sweep pipeline (exec/pipeline.hh): JSON row assembly and metrics
- * entries are built in the pipeline's in-order sink while later cells
- * are still simulating, and the cache save overlaps the DSE phase.
- * Emits one JSON document with the matrix, the attempted/evaluated
+ * sweep pipeline (exec/pipeline.hh): metrics entries are built in the
+ * pipeline's in-order sink while later cells are still simulating,
+ * and the cache save overlaps the DSE phase. Emits one JSON document
+ * (a JsonValue, obs/json.hh) with the matrix, the attempted/evaluated
  * design-point counts and the energy-delay Pareto frontier. Results
  * are bit-identical for any --jobs value (asserted by the ctest
  * fixtures); the wall_ms fields are the measured sweep times.
@@ -40,7 +40,6 @@
  * ("tia-sweep/v1").
  */
 
-#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -50,6 +49,7 @@
 #include "cache/simcache.hh"
 #include "core/logging.hh"
 #include "exec/thread_pool.hh"
+#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "sim/functional.hh"
 #include "vlsi/dse.hh"
@@ -100,29 +100,6 @@ parseConfigList(const std::string &text)
     return configs;
 }
 
-/** Append a JSON-quoted string (names here never need escaping). */
-void
-jsonString(std::string &out, const std::string &value)
-{
-    out += '"';
-    out += value;
-    out += '"';
-}
-
-void
-jsonNumber(std::string &out, double value)
-{
-    // JSON has no NaN/Infinity literal; a PE that retired nothing has
-    // CPI NaN (uarch/counters.hh) and serializes as null.
-    if (!std::isfinite(value)) {
-        out += "null";
-        return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    out += buf;
-}
-
 int
 run(const Options &opt)
 {
@@ -151,29 +128,13 @@ run(const Options &opt)
         run_options.cache = &*cache;
     }
 
-    // Per-config JSON rows and metrics entries, built cell-by-cell in
-    // the pipeline's in-order sink while later cells simulate.
+    // Metrics entries, built cell-by-cell in the pipeline's in-order
+    // sink while later cells simulate.
     MetricsRegistry registry("tia-sweep");
     bool all_ok = true;
-    std::vector<std::string> cpiRows(configs.size());
-    std::vector<std::string> cycleRows(configs.size());
-    std::vector<std::string> statusRows(configs.size());
 
     const auto addCell = [&](std::size_t c, std::size_t w,
                              const WorkloadRun &cell) {
-        std::string &cpiRow = cpiRows[c];
-        if (w)
-            cpiRow += ", ";
-        jsonNumber(cpiRow, cell.worker.cpi());
-        std::string &cycleRow = cycleRows[c];
-        if (w)
-            cycleRow += ", ";
-        cycleRow += std::to_string(cell.totalCycles);
-        std::string &statusRow = statusRows[c];
-        if (w)
-            statusRow += ", ";
-        jsonString(statusRow,
-                   cell.ok() ? "ok" : runStatusName(cell.status));
         all_ok = all_ok && cell.ok();
         if (!opt.metricsPath.empty()) {
             registry.addRun(workloadRunMetrics(cell, configs[c],
@@ -213,45 +174,14 @@ run(const Options &opt)
         }
     }
 
-    std::string json;
-    json += "{\n";
-    json += "  \"schema\": \"tia-sweep/v1\",\n";
-    json += "  \"jobs\": " + std::to_string(matrix.jobs) + ",\n";
-    json += std::string("  \"sizes\": ") +
-            (opt.small ? "\"small\"" : "\"full\"") + ",\n";
+    JsonValue doc = JsonValue::object();
+    doc["schema"] = "tia-sweep/v1";
+    doc["jobs"] = matrix.jobs;
+    doc["sizes"] = opt.small ? "small" : "full";
 
-    json += "  \"cpi_matrix\": {\n";
-    json += "    \"wall_ms\": ";
-    jsonNumber(json, matrix.wallMs);
-    json += ",\n    \"workloads\": [";
-    for (std::size_t w = 0; w < suite.size(); ++w) {
-        if (w)
-            json += ", ";
-        jsonString(json, suite[w].name);
-    }
-    json += "],\n    \"configs\": [";
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        if (c)
-            json += ", ";
-        jsonString(json, configs[c].name());
-    }
-    // Row-major [config][workload] arrays, rows parallel to "configs".
-    json += "],\n    \"cpi\": [\n";
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        json += "      [" + cpiRows[c];
-        json += c + 1 < configs.size() ? "],\n" : "]\n";
-    }
-    json += "    ],\n    \"cycles\": [\n";
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        json += "      [" + cycleRows[c];
-        json += c + 1 < configs.size() ? "],\n" : "]\n";
-    }
-    json += "    ],\n    \"status\": [\n";
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        json += "      [" + statusRows[c];
-        json += c + 1 < configs.size() ? "],\n" : "]\n";
-    }
-    json += "    ]\n  }";
+    // "cpi_matrix" precedes "dse" in the document but is filled in
+    // after the DSE, once the design points are freed.
+    doc["cpi_matrix"] = JsonValue::object();
 
     if (dsePhase) {
         CpiTable table;
@@ -278,49 +208,66 @@ run(const Options &opt)
         const DesignSpace dse(std::move(table));
         const DseStreamResult stream =
             dse.enumerateStreamed(jobs, configs, {});
-        const std::vector<DesignPoint> &frontier = stream.frontier;
 
-        json += ",\n  \"dse\": {\n";
-        json += std::string("    \"cpi_source\": ") +
-                (opt.suiteCpi ? "\"suite-average\"" : "\"bst\"") + ",\n";
-        json += "    \"wall_ms\": ";
-        jsonNumber(json, stream.wallMs);
-        json += ",\n    \"grid_points\": " +
-                std::to_string(dse.gridSize(configs)) + ",\n";
-        json += "    \"evaluated\": " +
-                std::to_string(stream.points.size()) + ",\n";
-        json += "    \"pareto\": [\n";
-        for (std::size_t i = 0; i < frontier.size(); ++i) {
-            const DesignPoint &p = frontier[i];
-            json += "      {\"config\": ";
-            jsonString(json, p.config.name());
-            json += ", \"vt\": ";
-            jsonString(json, vtName(p.vt));
-            json += ", \"vdd\": ";
-            jsonNumber(json, p.vdd);
-            json += ", \"freq_mhz\": ";
-            jsonNumber(json, p.freqMhz);
-            json += ", \"max_freq_mhz\": ";
-            jsonNumber(json, p.maxFreqMhz);
-            json += ", \"cpi\": ";
-            jsonNumber(json, p.cpi);
-            json += ", \"ns_per_ins\": ";
-            jsonNumber(json, p.nsPerInstruction);
-            json += ", \"pj_per_ins\": ";
-            jsonNumber(json, p.pjPerInstruction);
-            json += ", \"area_um2\": ";
-            jsonNumber(json, p.areaUm2);
-            json += ", \"power_mw\": ";
-            jsonNumber(json, p.powerMw);
-            json += ", \"power_density_mw_mm2\": ";
-            jsonNumber(json, p.powerDensity());
-            json += ", \"edp\": ";
-            jsonNumber(json, p.edp());
-            json += i + 1 < frontier.size() ? "},\n" : "}\n";
+        JsonValue dseDoc = JsonValue::object();
+        dseDoc["cpi_source"] = opt.suiteCpi ? "suite-average" : "bst";
+        dseDoc["wall_ms"] = stream.wallMs;
+        dseDoc["grid_points"] = dse.gridSize(configs);
+        dseDoc["evaluated"] = stream.points.size();
+        JsonValue pareto = JsonValue::array();
+        for (const DesignPoint &p : stream.frontier) {
+            JsonValue point = JsonValue::object();
+            point["config"] = p.config.name();
+            point["vt"] = vtName(p.vt);
+            point["vdd"] = p.vdd;
+            point["freq_mhz"] = p.freqMhz;
+            point["max_freq_mhz"] = p.maxFreqMhz;
+            point["cpi"] = p.cpi;
+            point["ns_per_ins"] = p.nsPerInstruction;
+            point["pj_per_ins"] = p.pjPerInstruction;
+            point["area_um2"] = p.areaUm2;
+            point["power_mw"] = p.powerMw;
+            point["power_density_mw_mm2"] = p.powerDensity();
+            point["edp"] = p.edp();
+            pareto.push(std::move(point));
         }
-        json += "    ]\n  }";
+        dseDoc["pareto"] = std::move(pareto);
+        doc["dse"] = std::move(dseDoc);
     }
-    json += "\n}\n";
+
+    JsonValue &cpiMatrix = doc["cpi_matrix"];
+    cpiMatrix["wall_ms"] = matrix.wallMs;
+    JsonValue workloadNames = JsonValue::array();
+    for (const Workload &workload : suite)
+        workloadNames.push(workload.name);
+    cpiMatrix["workloads"] = std::move(workloadNames);
+    JsonValue configNames = JsonValue::array();
+    for (const PeConfig &config : configs)
+        configNames.push(config.name());
+    cpiMatrix["configs"] = std::move(configNames);
+    // Row-major [config][workload] arrays, rows parallel to "configs".
+    JsonValue cpi = JsonValue::array();
+    JsonValue cycles = JsonValue::array();
+    JsonValue status = JsonValue::array();
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        JsonValue cpiRow = JsonValue::array();
+        JsonValue cycleRow = JsonValue::array();
+        JsonValue statusRow = JsonValue::array();
+        for (std::size_t w = 0; w < suite.size(); ++w) {
+            const WorkloadRun &cell = matrix.run(c, w);
+            cpiRow.push(cell.worker.cpi());
+            cycleRow.push(cell.totalCycles);
+            statusRow.push(cell.ok() ? "ok" : runStatusName(cell.status));
+        }
+        cpi.push(std::move(cpiRow));
+        cycles.push(std::move(cycleRow));
+        status.push(std::move(statusRow));
+    }
+    cpiMatrix["cpi"] = std::move(cpi);
+    cpiMatrix["cycles"] = std::move(cycles);
+    cpiMatrix["status"] = std::move(status);
+
+    const std::string json = doc.dump();
 
     if (cacheSaver.joinable())
         cacheSaver.join();
