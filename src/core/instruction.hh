@@ -169,8 +169,8 @@ struct Instruction
 constexpr unsigned kTriggerDescMaxChecks = 8;
 
 /**
- * A trigger compiled to flat bitmask form for the scheduler's
- * word-parallel fast path (see sim/scheduler.hh).
+ * A trigger compiled to flat bitmask form for the trigger table's
+ * queue checks (see TriggerTable in sim/scheduler.hh).
  *
  * All of an instruction's non-tag queue conditions — explicit trigger
  * occupancy checks, implicit input-queue source operands, implicit
@@ -180,7 +180,7 @@ constexpr unsigned kTriggerDescMaxChecks = 8;
  * remain per-condition, and an instruction has at most MaxCheck (2 at
  * the paper's parameters) of those.
  *
- * A TriggerDesc is immutable once compiled; PipelinedPe builds one per
+ * A TriggerDesc is immutable once compiled; TriggerTable builds one per
  * instruction-store slot at construction.
  */
 struct TriggerDesc

@@ -59,7 +59,11 @@ struct ArchParams
     unsigned wordWidth = 32;
     /** Queue tag width in bits (TagWidth). */
     unsigned tagWidth = 2;
-    /** Instructions per PE (NIns). */
+    /**
+     * Instructions per PE (NIns), at most 64: the cycle-accurate
+     * scheduler keeps one candidate bit per instruction in a 64-bit
+     * mask (TriggerTable in sim/scheduler.hh).
+     */
     unsigned numInstructions = 16;
     /** Number of datapath operations (NOps). */
     unsigned numOps = 42;

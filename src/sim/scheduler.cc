@@ -1,5 +1,7 @@
 #include "sim/scheduler.hh"
 
+#include "core/logging.hh"
+
 namespace tia {
 
 bool
@@ -68,6 +70,36 @@ schedule(const std::vector<Instruction> &instructions, std::uint64_t preds,
         return {ScheduleOutcome::Fire, i};
     }
     return {ScheduleOutcome::None, 0};
+}
+
+TriggerTable::TriggerTable(const std::vector<Instruction> &program)
+    : descs_(compileTriggerDescs(program))
+{
+    fatalIf(descs_.size() > kMaxInstructions, "instruction store of ",
+            descs_.size(), " entries exceeds the trigger table's ",
+            kMaxInstructions);
+    std::uint64_t cared = 0;
+    for (unsigned i = 0; i < descs_.size(); ++i) {
+        if (descs_[i].valid) {
+            valid_ |= std::uint64_t{1} << i;
+            cared |= descs_[i].predOn | descs_[i].predOff;
+        }
+    }
+    for (unsigned shift = 0; shift < 64; shift += 8) {
+        if (((cared >> shift) & 0xffu) == 0)
+            continue;
+        sliceShift_[numSlices_++] = static_cast<std::uint8_t>(shift);
+        for (unsigned value = 0; value < kSliceSize; ++value) {
+            std::uint64_t match = 0;
+            for (unsigned i = 0; i < descs_.size(); ++i) {
+                const unsigned on = (descs_[i].predOn >> shift) & 0xffu;
+                const unsigned off = (descs_[i].predOff >> shift) & 0xffu;
+                if ((on & ~value) == 0 && (off & value) == 0)
+                    match |= std::uint64_t{1} << i;
+            }
+            slices_.push_back(match & valid_);
+        }
+    }
 }
 
 } // namespace tia

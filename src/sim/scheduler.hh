@@ -4,11 +4,18 @@
  * front end of every triggered PE (paper Figure 2).
  *
  * The scheduler compares each valid instruction's trigger against the
- * predicate state and a *view* of queue status, and selects the
- * highest-priority eligible instruction. The queue-status view is
- * abstract so the same resolution logic serves the functional
- * simulator (live occupancy) and the pipelined microarchitectures
- * (conservative or effective accounting, Section 5.3).
+ * predicate state and the queue status, and selects the
+ * highest-priority eligible instruction. Two implementations exist:
+ *
+ *  - schedule() over a QueueStatusView walks the instructions in
+ *    priority order through virtual queue-status calls. It is the
+ *    functional simulator's scheduler and the test oracle for the
+ *    other one.
+ *  - TriggerTable is the cycle-accurate PE's issue path. Like the
+ *    hardware, it matches every trigger's predicate condition at once:
+ *    the predicate state indexes precompiled candidate masks, and only
+ *    the surviving candidates are checked, lowest index first, against
+ *    packed per-cycle queue-status words (QueueStatusWords).
  *
  * Priority correctness under unresolved predicates: when an in-flight
  * datapath predicate write leaves a trigger's outcome unknown, no
@@ -20,6 +27,7 @@
 #define TIA_SIM_SCHEDULER_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -81,9 +89,9 @@ bool queueConditionsHold(const Instruction &inst,
                          const QueueStatusView &view);
 
 /**
- * Per-cycle queue status packed into words for the mask-based fast
- * path. A PE computes this once per cycle (each bound queue inspected
- * once) instead of re-deriving queue status per instruction condition
+ * Per-cycle queue status packed into words for the trigger table. A
+ * PE computes this once per cycle (each bound queue inspected once)
+ * instead of re-deriving queue status per instruction condition
  * through virtual QueueStatusView calls.
  *
  * headTag[q] is meaningful only where bit q of inputReady is set (an
@@ -107,7 +115,7 @@ struct QueueStatusWords
  * two AND/compare operations plus at most MaxCheck tag compares.
  * Exactly equivalent to the reference given consistent status
  * (asserted by tests/test_hot_path.cc). Defined inline — this runs
- * once per instruction per cycle in the issue stage.
+ * once per predicate-matching candidate per cycle in the issue stage.
  */
 inline bool
 queueConditionsHold(const TriggerDesc &desc, const QueueStatusWords &status)
@@ -130,35 +138,90 @@ queueConditionsHold(const TriggerDesc &desc, const QueueStatusWords &status)
 }
 
 /**
- * Mask-based trigger resolution over compiled descriptors: the fast
- * path used by the cycle-accurate PE's issue stage. Bit-identical to
- * schedule() on the corresponding instructions and a consistent view.
+ * A PE's triggers compiled to a predicate-indexed candidate table: the
+ * fast path used by the cycle-accurate PE's issue stage. Bit-identical
+ * to schedule() on the same instructions and a consistent view
+ * (asserted by tests/test_hot_path.cc).
+ *
+ * For every predicate byte j that some valid trigger cares about, the
+ * table holds 256 masks: bit i of slice_j[v] is set iff instruction i
+ * is valid and its on/off requirements within byte j agree with byte
+ * value v. ANDing the slices selected by the predicate state yields
+ * every trigger whose predicate condition holds (one 2 KB slice at the
+ * default 8 predicates). Instruction indices are mask bits, so the
+ * store holds at most kMaxInstructions entries (ArchParams::validate
+ * caps NIns to match).
  */
-inline ScheduleResult
-schedule(const std::vector<TriggerDesc> &descs, std::uint64_t preds,
-         std::uint64_t pendingPreds, const QueueStatusWords &status)
+class TriggerTable
 {
-    // Same resolution order and outcomes as the reference loop, over
-    // compiled descriptors.
-    for (unsigned i = 0; i < descs.size(); ++i) {
-        const TriggerDesc &desc = descs[i];
-        if (!desc.valid)
-            continue;
+  public:
+    /** Widest instruction store a 64-bit candidate mask covers. */
+    static constexpr unsigned kMaxInstructions = 64;
 
+    TriggerTable() = default;
+
+    /**
+     * Compile @p program (priority order). The instructions must have
+     * passed Instruction::validate, which rules out a trigger requiring
+     * a predicate both set and clear — the table relies on it.
+     * @throws FatalError if the program exceeds kMaxInstructions or a
+     *         trigger does not fit a TriggerDesc.
+     */
+    explicit TriggerTable(const std::vector<Instruction> &program);
+
+    /**
+     * Resolve triggers against predicate state @p preds, the in-flight
+     * predicate writes @p pendingPreds and this cycle's queue status.
+     */
+    ScheduleResult resolve(std::uint64_t preds, std::uint64_t pendingPreds,
+                           const QueueStatusWords &status) const;
+
+    /** The compiled per-instruction descriptors (priority order). */
+    const std::vector<TriggerDesc> &descs() const { return descs_; }
+
+  private:
+    static constexpr unsigned kSliceSize = 256;
+
+    std::vector<TriggerDesc> descs_;
+    /** Bit i: instruction i is valid. */
+    std::uint64_t valid_ = 0;
+    /** Number of predicate bytes with a slice. */
+    unsigned numSlices_ = 0;
+    /** Bit offset in the predicate word of each slice's byte. */
+    std::array<std::uint8_t, 8> sliceShift_{};
+    /** numSlices_ consecutive slices of kSliceSize masks each. */
+    std::vector<std::uint64_t> slices_;
+};
+
+inline ScheduleResult
+TriggerTable::resolve(std::uint64_t preds, std::uint64_t pendingPreds,
+                      const QueueStatusWords &status) const
+{
+    std::uint64_t candidates = valid_;
+    const std::uint64_t *slice = slices_.data();
+    for (unsigned k = 0; k < numSlices_; ++k, slice += kSliceSize) {
+        const unsigned shift = sliceShift_[k];
+        const unsigned pending =
+            static_cast<unsigned>(pendingPreds >> shift) & 0xffu;
+        const unsigned resolved =
+            static_cast<unsigned>(preds >> shift) & 0xffu & ~pending;
+        // A pending bit may resolve either way: a trigger stays a
+        // candidate if it fails on no resolved bit, i.e. if it matches
+        // some completion of the pending bits.
+        std::uint64_t match = slice[resolved];
+        for (unsigned s = pending; s != 0; s = (s - 1) & pending)
+            match |= slice[resolved | s];
+        candidates &= match;
+    }
+    for (; candidates != 0; candidates &= candidates - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(candidates));
+        const TriggerDesc &desc = descs_[i];
         if (!queueConditionsHold(desc, status))
             continue;
-
-        const std::uint64_t cares = desc.predOn | desc.predOff;
-        const std::uint64_t resolved = ~pendingPreds;
-
-        const std::uint64_t on_fail = desc.predOn & ~preds;
-        const std::uint64_t off_fail = desc.predOff & preds;
-        if (((on_fail | off_fail) & resolved) != 0)
-            continue;
-
-        if ((cares & pendingPreds) != 0)
+        // A required bit still pending makes the outcome unknown;
+        // priority forbids issuing anything lower.
+        if (((desc.predOn | desc.predOff) & pendingPreds) != 0)
             return {ScheduleOutcome::BlockedOnPredicate, i};
-
         return {ScheduleOutcome::Fire, i};
     }
     return {ScheduleOutcome::None, 0};

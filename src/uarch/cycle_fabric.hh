@@ -145,20 +145,23 @@ class CycleFabric
      * callers may mutate state (predicates, registers) the sleep
      * criterion depended on. Both overloads settle the PE's lazily
      * accounted sleep cycles so counters read exact.
+     * @throws std::out_of_range if @p index names no PE.
      */
     PipelinedPe &
     pe(unsigned index)
     {
+        PipelinedPe &checked = *pes_.at(index);
         wakePe(index);
-        return *pes_.at(index);
+        return checked;
     }
 
     const PipelinedPe &
     pe(unsigned index) const
     {
+        const PipelinedPe &checked = *pes_.at(index);
         if (asleep_[index])
             syncSleepCounters(index);
-        return *pes_.at(index);
+        return checked;
     }
 
     unsigned numPes() const { return static_cast<unsigned>(pes_.size()); }
@@ -186,8 +189,8 @@ class CycleFabric
 
     /**
      * Route every PE's trigger resolution through the virtual
-     * QueueStatusView reference scheduler (bit-identical to the mask
-     * fast path; see PipelinedPe::setUseReferenceScheduler).
+     * QueueStatusView reference scheduler (bit-identical to the
+     * trigger table; see PipelinedPe::setUseReferenceScheduler).
      */
     void
     setUseReferenceScheduler(bool enabled)

@@ -12,7 +12,8 @@ QueueStatusWords
 PipelinedPe::computeStatusWords() const
 {
     // Each queue any trigger cares about is inspected exactly once per
-    // cycle; schedule() then needs only mask compares per instruction.
+    // cycle; the trigger table then needs only mask compares per
+    // candidate instruction.
     QueueStatusWords status;
     for (std::uint32_t rest = usedInputs_; rest != 0; rest &= rest - 1) {
         const unsigned q = static_cast<unsigned>(std::countr_zero(rest));
@@ -83,8 +84,8 @@ PipelinedPe::PipelinedPe(const ArchParams &params, const PeConfig &config,
     // per-PE arrays without range checks.
     for (const auto &inst : program_)
         inst.validate(params_);
-    triggerDescs_ = compileTriggerDescs(program_);
-    for (const auto &desc : triggerDescs_) {
+    triggerTable_ = TriggerTable(program_);
+    for (const auto &desc : triggerTable_.descs()) {
         usedInputs_ |= desc.inputNeed;
         usedOutputs_ |= desc.outputNeed;
     }
@@ -428,8 +429,8 @@ PipelinedPe::resolveTriggers()
     // Status words are recomputed on the stack every cycle: for the
     // handful of queues a PE watches, that beats maintaining a
     // per-queue memo.
-    return schedule(triggerDescs_, preds_, pendingPredMask_,
-                    computeStatusWords());
+    return triggerTable_.resolve(preds_, pendingPredMask_,
+                                 computeStatusWords());
 }
 
 [[gnu::always_inline]] inline void

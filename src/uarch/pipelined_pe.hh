@@ -111,7 +111,7 @@ class PipelinedPe
 
     /**
      * Route trigger resolution through the virtual QueueStatusView
-     * reference scheduler instead of the compiled mask fast path. The
+     * reference scheduler instead of the trigger table. The
      * two are bit-identical (tests/test_hot_path.cc); the runtime
      * switch lets the observability tests cross-check trace-derived
      * counters against both implementations end to end.
@@ -224,11 +224,11 @@ class PipelinedPe
     std::optional<Tag> schedInputHeadTag(unsigned q) const;
     bool schedOutputHasSpace(unsigned q) const;
 
-    /** Pack this cycle's queue status for the mask-based scheduler. */
+    /** Pack this cycle's queue status for the trigger table. */
     QueueStatusWords computeStatusWords() const;
 
     /**
-     * This cycle's trigger resolution: the mask scheduler, or the
+     * This cycle's trigger resolution: the trigger table, or the
      * reference scheduler when setUseReferenceScheduler() is on.
      */
     ScheduleResult resolveTriggers();
@@ -276,8 +276,8 @@ class PipelinedPe
     const PeConfig config_;
     std::vector<Instruction> program_;
 
-    /** Triggers compiled to mask form, one per program slot. */
-    std::vector<TriggerDesc> triggerDescs_;
+    /** Triggers compiled to the predicate-indexed candidate table. */
+    TriggerTable triggerTable_;
     /** Union of all descriptors' input requirements (wake set). */
     std::uint32_t usedInputs_ = 0;
     /** Union of all descriptors' output requirements (wake set). */
@@ -358,7 +358,7 @@ class PipelinedPe
     TraceSink *trace_ = nullptr;
     TraceLevel traceLevel_ = TraceLevel::Events;
     std::uint32_t traceId_ = 0;
-    /** Use the virtual reference scheduler instead of the mask path. */
+    /** Use the virtual reference scheduler instead of the table. */
     bool referenceScheduler_ = false;
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Equivalence tests for the hot-loop optimizations: the compiled
- * trigger-descriptor scheduler fast path, the ring-buffer TaggedQueue,
+ * Equivalence tests for the hot-loop optimizations: the
+ * predicate-indexed trigger table, the ring-buffer TaggedQueue,
  * and the fabric's idle-PE sleep/wake machinery. Every optimization
  * must be invisible to the architecture — identical schedule outcomes,
  * identical queue semantics, bit-identical cycle counts, counters and
@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <random>
 
@@ -36,11 +37,10 @@ runBudget(Cycle maxCycles, Cycle quiescenceWindow)
 }
 
 // ---------------------------------------------------------------------
-// Scheduler fast path vs reference, over random instructions & status.
+// Trigger table vs reference, over random instructions & status.
 // ---------------------------------------------------------------------
 
 constexpr unsigned kQueues = 4;
-constexpr unsigned kPreds = 8;
 
 /** Fixed queue status backing both the view and the packed words. */
 struct SyntheticStatus
@@ -94,8 +94,14 @@ packStatus(const SyntheticStatus &s)
     return words;
 }
 
+/**
+ * A random instruction over @p numPreds predicates. Its trigger cares
+ * about up to four predicates, the first of them in predicate byte
+ * @p byte, so a program of a few instructions spreads its trigger bits
+ * over every byte of a wide predicate file.
+ */
 Instruction
-randomInstruction(std::mt19937 &rng)
+randomInstruction(std::mt19937 &rng, unsigned numPreds, unsigned byte)
 {
     auto pick = [&](unsigned bound) {
         return std::uniform_int_distribution<unsigned>(0, bound - 1)(rng);
@@ -103,17 +109,19 @@ randomInstruction(std::mt19937 &rng)
 
     Instruction inst;
     inst.trigger.valid = pick(10) != 0;
-    for (unsigned p = 0; p < kPreds; ++p) {
-        switch (pick(4)) {
-          case 0:
-            inst.trigger.predOn |= std::uint64_t{1} << p;
-            break;
-          case 1:
-            inst.trigger.predOff |= std::uint64_t{1} << p;
-            break;
-          default:
-            break;
-        }
+    const unsigned byte_begin = 8 * byte;
+    const unsigned byte_size = std::min(8u, numPreds - byte_begin);
+    const unsigned cared = 1 + pick(4);
+    for (unsigned c = 0; c < cared; ++c) {
+        const unsigned p = c == 0 ? byte_begin + pick(byte_size)
+                                  : pick(numPreds);
+        const std::uint64_t bit = std::uint64_t{1} << p;
+        if (((inst.trigger.predOn | inst.trigger.predOff) & bit) != 0)
+            continue;
+        if (pick(2) != 0)
+            inst.trigger.predOn |= bit;
+        else
+            inst.trigger.predOff |= bit;
     }
     // Up to MaxCheck (2) distinct checked queues.
     const unsigned checks = pick(3);
@@ -160,6 +168,25 @@ randomInstruction(std::mt19937 &rng)
     return inst;
 }
 
+/** Up to @p count distinct bits drawn from @p pool (all if fewer). */
+std::uint64_t
+pickBits(std::mt19937 &rng, std::uint64_t pool, unsigned count)
+{
+    std::uint64_t bits = 0;
+    for (unsigned n = 0; n < count && pool != 0; ++n) {
+        unsigned skip = std::uniform_int_distribution<unsigned>(
+            0, static_cast<unsigned>(std::popcount(pool)) - 1)(rng);
+        std::uint64_t rest = pool;
+        while (skip-- > 0)
+            rest &= rest - 1;
+        const std::uint64_t bit = std::uint64_t{1}
+                                  << std::countr_zero(rest);
+        bits |= bit;
+        pool &= ~bit;
+    }
+    return bits;
+}
+
 TEST(SchedulerFastPath, MatchesReferenceOnRandomPrograms)
 {
     std::mt19937 rng(0xC0FFEE);
@@ -167,47 +194,82 @@ TEST(SchedulerFastPath, MatchesReferenceOnRandomPrograms)
         return std::uniform_int_distribution<unsigned>(0, bound - 1)(rng);
     };
 
-    for (unsigned trial = 0; trial < 2000; ++trial) {
-        std::vector<Instruction> program;
-        const unsigned size = 1 + pick(16);
-        for (unsigned i = 0; i < size; ++i)
-            program.push_back(randomInstruction(rng));
-        const std::vector<TriggerDesc> descs = compileTriggerDescs(program);
+    for (const unsigned num_preds : {8u, 13u, 64u}) {
+        const std::uint64_t pred_mask =
+            num_preds >= 64 ? ~std::uint64_t{0}
+                            : (std::uint64_t{1} << num_preds) - 1;
+        const unsigned num_bytes = (num_preds + 7) / 8;
+        std::array<unsigned, 3> outcomes{};
 
-        SyntheticStatus status;
-        for (unsigned q = 0; q < kQueues; ++q) {
-            status.occupancy[q] = pick(4);
-            status.headTag[q] = static_cast<Tag>(pick(4));
-            status.outputSpace[q] = pick(2) != 0;
-        }
-        const SyntheticView view(status);
-        const QueueStatusWords words = packStatus(status);
+        for (unsigned trial = 0; trial < 600; ++trial) {
+            std::vector<Instruction> program;
+            const unsigned size = 1 + pick(TriggerTable::kMaxInstructions);
+            std::uint64_t cared = 0;
+            for (unsigned i = 0; i < size; ++i) {
+                program.push_back(
+                    randomInstruction(rng, num_preds, i % num_bytes));
+                // The datapath fields are random and unchecked; the
+                // trigger obeys what Instruction::validate enforces.
+                const TriggerCondition &trigger = program.back().trigger;
+                ASSERT_EQ(trigger.predOn & trigger.predOff, 0u);
+                ASSERT_EQ((trigger.predOn | trigger.predOff) & ~pred_mask,
+                          0u);
+                cared |= trigger.predOn | trigger.predOff;
+            }
+            const TriggerTable table(program);
+            ASSERT_EQ(table.descs().size(), size);
 
-        for (unsigned sample = 0; sample < 8; ++sample) {
-            const std::uint64_t preds = rng() & ((1u << kPreds) - 1);
-            // pendingPreds is nonzero only without prediction; bias
-            // towards zero as in real runs, but cover the hazard path.
-            const std::uint64_t pending =
-                (sample % 3 == 0) ? (rng() & ((1u << kPreds) - 1)) : 0;
+            SyntheticStatus status;
+            for (unsigned q = 0; q < kQueues; ++q) {
+                status.occupancy[q] = pick(4);
+                status.headTag[q] = static_cast<Tag>(pick(4));
+                status.outputSpace[q] = pick(2) != 0;
+            }
+            const SyntheticView view(status);
+            const QueueStatusWords words = packStatus(status);
 
-            const ScheduleResult ref =
-                schedule(program, preds, pending, view);
-            const ScheduleResult fast =
-                schedule(descs, preds, pending, words);
-            ASSERT_EQ(static_cast<int>(fast.outcome),
-                      static_cast<int>(ref.outcome))
-                << "trial " << trial;
-            ASSERT_EQ(fast.index, ref.index) << "trial " << trial;
+            for (unsigned sample = 0; sample < 12; ++sample) {
+                // Half the samples satisfy one instruction's predicate
+                // condition outright, so Fire and predicate hazards
+                // are reached, not just None.
+                std::uint64_t preds =
+                    (std::uint64_t{rng()} << 32 | rng()) & pred_mask;
+                if (sample % 2 == 0) {
+                    const TriggerCondition &trigger =
+                        program[pick(size)].trigger;
+                    preds = (preds | trigger.predOn) & ~trigger.predOff;
+                }
+                // pendingPreds is nonzero only without prediction;
+                // cover one to three cared bits, in one byte or spread
+                // over several, and leave it zero otherwise as in
+                // real runs.
+                const std::uint64_t pending =
+                    sample % 3 == 0 ? 0 : pickBits(rng, cared, 1 + pick(3));
+
+                const ScheduleResult ref =
+                    schedule(program, preds, pending, view);
+                const ScheduleResult fast =
+                    table.resolve(preds, pending, words);
+                ASSERT_EQ(static_cast<int>(fast.outcome),
+                          static_cast<int>(ref.outcome))
+                    << num_preds << " preds, trial " << trial;
+                ASSERT_EQ(fast.index, ref.index)
+                    << num_preds << " preds, trial " << trial;
+                ++outcomes[static_cast<unsigned>(ref.outcome)];
+            }
 
             // Condition evaluation agrees instruction by instruction.
             for (unsigned i = 0; i < size; ++i) {
                 if (!program[i].trigger.valid)
                     continue;
-                ASSERT_EQ(queueConditionsHold(descs[i], words),
+                ASSERT_EQ(queueConditionsHold(table.descs()[i], words),
                           queueConditionsHold(program[i], view))
                     << "trial " << trial << " inst " << i;
             }
         }
+        // Every outcome is exercised at every predicate width.
+        for (const unsigned count : outcomes)
+            EXPECT_GT(count, 100u) << num_preds << " preds";
     }
 }
 
@@ -596,7 +658,7 @@ TEST(IdlePeSleep, CountersSettleOnEveryExitPath)
 }
 
 // ---------------------------------------------------------------------
-// The mask scheduler must be invisible next to the QueueStatusView
+// The trigger table must be invisible next to the QueueStatusView
 // reference scheduler.
 // ---------------------------------------------------------------------
 
@@ -622,16 +684,12 @@ observeScheduler(const Workload &workload, const PeConfig &uarch,
     return obs;
 }
 
-TEST(ResolutionCache, WorkloadSuiteBitIdenticalToReferenceScheduler)
+TEST(TriggerTable, WorkloadSuiteBitIdenticalToReferenceScheduler)
 {
     const std::vector<Workload> workloads =
         allWorkloads(WorkloadSizes::small());
-    const std::vector<PeConfig> uarchs = {
-        {allShapes()[0], false, false, false}, // TDX
-        {allShapes()[0], false, true, false},  // TDX +Q
-        {allShapes()[7], true, true, false},   // T|D|X1|X2 +P+Q
-        {allShapes()[7], true, true, true},    // T|D|X1|X2 +P+N+Q
-    };
+    std::vector<PeConfig> uarchs = allConfigs();
+    uarchs.push_back({allShapes()[7], true, true, true}); // T|D|X1|X2 +P+N+Q
     for (const Workload &workload : workloads) {
         for (const PeConfig &uarch : uarchs) {
             ASSERT_EQ(observeScheduler(workload, uarch, false),

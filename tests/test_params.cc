@@ -119,6 +119,17 @@ TEST(Params, ValidateRejectsBadCombinations)
     EXPECT_THROW(p.validate(), FatalError);
 }
 
+TEST(Params, InstructionStoreCappedAt64)
+{
+    // The cycle-accurate scheduler keeps one candidate bit per
+    // instruction in a 64-bit mask.
+    EXPECT_EQ(parseParams("NIns: 64\n").numInstructions, 64u);
+    EXPECT_THROW(parseParams("NIns: 65\n"), FatalError);
+    ArchParams p;
+    p.numInstructions = 65;
+    EXPECT_THROW(p.validate(), FatalError);
+}
+
 TEST(Params, WidthsScaleWithParameters)
 {
     // Doubling predicate count grows PredMask and PredUpdate by

@@ -5,6 +5,8 @@
  * specifically, never silently.
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "core/assembler.hh"
@@ -125,6 +127,18 @@ TEST(RuntimeErrors, ValidateCatchesHandBuiltNonsense)
     conflicting.trigger.predOff = 0b1; // both set and clear
     conflicting.op = Op::Nop;
     EXPECT_THROW(conflicting.validate(params), FatalError);
+}
+
+TEST(RuntimeErrors, PeIndexOutOfRangeThrows)
+{
+    // Both accessors range-check before touching per-PE sleep state.
+    CycleFabric fabric(loneConfig(), Program{},
+                       {allShapes()[0], false, false, false});
+    EXPECT_THROW(fabric.pe(40), std::out_of_range);
+    const CycleFabric &view = fabric;
+    EXPECT_THROW(view.pe(40), std::out_of_range);
+    EXPECT_THROW(fabric.pe(1), std::out_of_range);
+    EXPECT_NO_THROW(view.pe(0));
 }
 
 } // namespace
