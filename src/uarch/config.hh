@@ -22,7 +22,11 @@
 
 namespace tia {
 
-/** Where the pipeline registers sit. */
+/**
+ * Where the pipeline registers sit. A structural type with constexpr
+ * segment arithmetic, so a shape can be a template argument (the
+ * per-shape step kernels of uarch/pipelined_pe.hh).
+ */
 struct PipelineShape
 {
     bool splitTD = false; ///< Register between T and D.
@@ -30,15 +34,15 @@ struct PipelineShape
     bool splitX = false;  ///< Split the ALU across X1|X2.
 
     /** Segment index executing the trigger phase (always 0). */
-    unsigned segT() const { return 0; }
+    constexpr unsigned segT() const { return 0; }
     /** Segment index executing the decode phase. */
-    unsigned segD() const { return splitTD ? 1 : 0; }
+    constexpr unsigned segD() const { return splitTD ? 1 : 0; }
     /** Segment executing the first (or only) execute phase. */
-    unsigned segX1() const { return segD() + (splitDX ? 1 : 0); }
+    constexpr unsigned segX1() const { return segD() + (splitDX ? 1 : 0); }
     /** Segment executing the last execute phase (= segX1 unless split). */
-    unsigned segX2() const { return segX1() + (splitX ? 1 : 0); }
+    constexpr unsigned segX2() const { return segX1() + (splitX ? 1 : 0); }
     /** Pipeline depth in stages (1 - 4). */
-    unsigned depth() const { return segX2() + 1; }
+    constexpr unsigned depth() const { return segX2() + 1; }
 
     /** Canonical name, e.g. "T|DX1|X2". */
     std::string name() const;

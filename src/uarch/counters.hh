@@ -113,6 +113,8 @@ struct CpiStack
     double forbidden = 0.0;
     double noTrigger = 0.0;
 
+    bool operator==(const CpiStack &) const = default;
+
     double
     total() const
     {

@@ -181,6 +181,47 @@ CycleFabric::setIdleSleepEnabled(bool enabled)
     }
 }
 
+inline std::uint64_t
+CycleFabric::stepPe(unsigned index)
+{
+    PipelinedPe &pe = *pes_[index];
+    const std::uint64_t retired_before = pe.counters().retired;
+    pe.step();
+    const std::uint64_t retired = pe.counters().retired - retired_before;
+    totalRetired_ += retired;
+    ++stepsExecuted_;
+    sleepSince_[index] = now_;
+    return retired;
+}
+
+inline bool
+CycleFabric::settleStepped(std::size_t i)
+{
+    // Swap-remove — order within a cycle is unobservable because every
+    // channel has exactly one producer and one consumer.
+    const unsigned index = activePes_[i];
+    const PipelinedPe &pe = *pes_[index];
+    if (pe.halted()) {
+        ++haltedPes_;
+        activePes_[i] = activePes_.back();
+        activePes_.pop_back();
+        return false;
+    }
+    if (sleepEnabled_ && pe.canSleep()) {
+        // Park decision deferred to the end of the cycle: if a watched
+        // channel goes dirty this very cycle the PE would be woken
+        // right back at the next cycle's start, so parking it now is
+        // pure list churn.
+        parkCandidates_.push_back(index);
+        activePes_[i] = activePes_.back();
+        activePes_.pop_back();
+        return false;
+    }
+    if (pe.busy())
+        ++activeBusyPes_;
+    return true;
+}
+
 void
 CycleFabric::step()
 {
@@ -199,38 +240,19 @@ CycleFabric::step()
     events_.clearDirty();
 
     // Step the active PEs; retire halted ones and park provably idle
-    // ones (swap-remove — order within a cycle is unobservable because
-    // every channel has exactly one producer and one consumer).
+    // ones.
     activeBusyPes_ = 0;
     for (std::size_t i = 0; i < activePes_.size();) {
-        const unsigned index = activePes_[i];
-        PipelinedPe &pe = *pes_[index];
-        const std::uint64_t retired_before = pe.counters().retired;
-        pe.step();
-        totalRetired_ += pe.counters().retired - retired_before;
-        ++stepsExecuted_;
-        sleepSince_[index] = now_;
-        if (pe.halted()) {
-            ++haltedPes_;
-            activePes_[i] = activePes_.back();
-            activePes_.pop_back();
-            continue;
-        }
-        if (sleepEnabled_ && pe.canSleep()) {
-            // Park decision deferred to the end of the cycle: if a
-            // watched channel goes dirty this very cycle the PE would
-            // be woken right back at the next cycle's start, so
-            // parking it now is pure list churn.
-            parkCandidates_.push_back(index);
-            activePes_[i] = activePes_.back();
-            activePes_.pop_back();
-            continue;
-        }
-        if (pe.busy())
-            ++activeBusyPes_;
-        ++i;
+        stepPe(activePes_[i]);
+        if (settleStepped(i))
+            ++i;
     }
+    finishCycle();
+}
 
+void
+CycleFabric::finishCycle()
+{
     for (auto &port : readPorts_)
         port->step(now_);
     for (auto &port : writePorts_)
@@ -273,12 +295,44 @@ CycleFabric::step()
 }
 
 bool
-CycleFabric::anyActivity() const
+CycleFabric::soloReady() const
 {
-    // Parked PEs are by construction not busy; halted ones are off the
-    // active list.
-    if (activeBusyPes_ > 0)
-        return true;
+    return activePes_.size() == 1 && injector_ == nullptr &&
+           trace_ == nullptr && events_.dirtyChannels().empty() &&
+           events_.pushedChannels().empty() && !portsBusy();
+}
+
+void
+CycleFabric::stepSolo(Cycle limit, std::uint64_t &last_retired,
+                      Cycle &last_activity)
+{
+    const unsigned index = activePes_.front();
+    const PipelinedPe &pe = *pes_[index];
+    const std::uint64_t events = events_.progressEvents();
+    for (;;) {
+        const std::uint64_t retired = stepPe(index);
+        if (pe.halted() || events_.progressEvents() != events ||
+            (sleepEnabled_ && pe.canSleep()) ||
+            (retired == 0 && !pe.busy()) || now_ + 1 == limit) {
+            // Hand back: finish this cycle exactly as step() does and
+            // let run() check it.
+            activeBusyPes_ = 0;
+            settleStepped(0);
+            finishCycle();
+            return;
+        }
+        // A quiet cycle: no queue event, so the ports, the channels and
+        // every other PE have nothing to do, and the PE retired or kept
+        // an instruction in flight — activity for run()'s watchdog.
+        ++now_;
+        last_retired = totalRetired_;
+        last_activity = now_;
+    }
+}
+
+bool
+CycleFabric::portsBusy() const
+{
     for (const auto &port : readPorts_) {
         if (port->busy())
             return true;
@@ -288,6 +342,14 @@ CycleFabric::anyActivity() const
             return true;
     }
     return false;
+}
+
+bool
+CycleFabric::anyActivity() const
+{
+    // Parked PEs are by construction not busy; halted ones are off the
+    // active list.
+    return activeBusyPes_ > 0 || portsBusy();
 }
 
 RunStatus
@@ -319,7 +381,7 @@ CycleFabric::run(const FabricRunOptions &options)
             }
             next_stop_check = now_ + options.stopCheckInterval;
         }
-        if (haltedPes_ == pes_.size()) {
+        if (allHalted()) {
             report_ = HangReport{};
             report_.classification = RunStatus::Halted;
             report_.summary = "halted: every PE retired a halt";
@@ -327,7 +389,17 @@ CycleFabric::run(const FabricRunOptions &options)
             return RunStatus::Halted;
         }
 
-        step();
+        if (soloReady()) {
+            // The solo loop ends at the cycle budget or the next stop
+            // poll, so the checks above see the cycles they would see
+            // from step().
+            Cycle limit = options.maxCycles;
+            if (options.stop.possible())
+                limit = std::min(limit, next_stop_check);
+            stepSolo(limit, last_retired, last_activity);
+        } else {
+            step();
+        }
 
         if (events_.progressEvents() != last_events) {
             last_events = events_.progressEvents();

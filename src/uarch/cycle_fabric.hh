@@ -32,6 +32,22 @@
  * The same event lists make channel upkeep proportional to activity:
  * only channels touched last cycle need a new snapshot (beginCycle)
  * and only channels pushed this cycle need a commit.
+ *
+ * Solo-PE loop: when exactly one PE is awake, there is no fault
+ * injector and no trace sink, no channel was touched last cycle and
+ * no memory port is busy, run() steps that PE in a tight loop without
+ * the rest of step(). The invariant that makes this invisible is the
+ * one behind sleep: with single-producer/single-consumer channels, a
+ * cycle in which the lone PE neither pushes nor pops changes nothing
+ * any other agent can see, and leaves the ports and parked PEs with
+ * nothing to do. The loop hands control back at the first cycle that
+ * pushes or pops, halts the PE, makes it a park candidate, or neither
+ * retires nor leaves it busy; that cycle gets step()'s own end-of-cycle
+ * tail. Its budget ends at the cycle limit or the next stop-token
+ * poll, and every cycle it completes on its own is an active one, so
+ * quiescence, the livelock watchdog and cancellation see the same
+ * cycles as from step(), and counters, step statistics and hang
+ * reports are bit-identical (tests/test_hot_path.cc).
  */
 
 #ifndef TIA_UARCH_CYCLE_FABRIC_HH
@@ -83,6 +99,8 @@ struct FabricStepStats
     std::uint64_t peStepsExecuted = 0;
     /** PE steps skipped by the idle sleep list (accounted lazily). */
     std::uint64_t peStepsSkipped = 0;
+
+    bool operator==(const FabricStepStats &) const = default;
 };
 
 /** A full cycle-accurate fabric running one microarchitecture. */
@@ -128,6 +146,21 @@ class CycleFabric
     /** Diagnosis of how the last run() ended. */
     const HangReport &hangReport() const { return report_; }
 
+    // The state run() decides on. None of these settles sleep debt,
+    // so reading them has no trace side effect.
+
+    /** Every PE has halted. */
+    bool allHalted() const { return haltedPes_ == pes_.size(); }
+
+    /** Instructions retired by all PEs so far. */
+    std::uint64_t totalRetired() const { return totalRetired_; }
+
+    /**
+     * An awake PE has an instruction in flight, or a memory port has a
+     * request in flight or waiting.
+     */
+    bool anyActivity() const;
+
     /**
      * Build the wait-for graph and classify the fabric's current
      * state as if it had just gone quiescent (exposed for tools and
@@ -172,8 +205,15 @@ class CycleFabric
         return static_cast<unsigned>(channels_.size());
     }
 
-    /** Channel access (e.g. high-water marks for metrics). */
-    const TaggedQueue &channel(unsigned ch) const { return *channels_[ch]; }
+    /**
+     * Channel access (e.g. high-water marks for metrics).
+     * @throws std::out_of_range if @p ch names no channel.
+     */
+    const TaggedQueue &
+    channel(unsigned ch) const
+    {
+        return *channels_.at(ch);
+    }
 
     /**
      * Install (or clear, with nullptr) a trace sink on the fabric and
@@ -216,7 +256,42 @@ class CycleFabric
     }
 
   private:
-    bool anyActivity() const;
+    /** A memory port has a request in flight or waiting. */
+    bool portsBusy() const;
+
+    /**
+     * Step PE @p index once with the fabric's per-step accounting;
+     * returns the instructions it retired.
+     */
+    std::uint64_t stepPe(unsigned index);
+
+    /**
+     * Active-list upkeep for activePes_[@p i] after its step: a halted
+     * PE leaves for good, a sleep-ready one becomes a park candidate
+     * and a busy one counts toward activeBusyPes_. Returns false if it
+     * left the list.
+     */
+    bool settleStepped(std::size_t i);
+
+    /**
+     * End-of-cycle tail shared by step() and stepSolo(): memory ports,
+     * push commits, deferred parks, queue-depth trace, clock.
+     */
+    void finishCycle();
+
+    /** The solo-PE loop's entry condition (see the file comment). */
+    bool soloReady() const;
+
+    /**
+     * The solo-PE loop: step the one active PE until a cycle pushes or
+     * pops a queue, halts it, makes it a park candidate, neither
+     * retires nor leaves it busy, or ends at @p limit. That cycle is
+     * finished by finishCycle() for run() to check; every earlier one
+     * is an active cycle, recorded in @p last_retired and
+     * @p last_activity as run() would have.
+     */
+    void stepSolo(Cycle limit, std::uint64_t &last_retired,
+                  Cycle &last_activity);
 
     /**
      * Re-activate PE @p index if parked, settling its sleep debt.

@@ -8,7 +8,7 @@
 
 namespace tia {
 
-QueueStatusWords
+inline QueueStatusWords
 PipelinedPe::computeStatusWords() const
 {
     // Each queue any trigger cares about is inspected exactly once per
@@ -67,7 +67,8 @@ class CycleQueueView : public QueueStatusView
 
 PipelinedPe::PipelinedPe(const ArchParams &params, const PeConfig &config,
                          std::vector<Instruction> program)
-    : params_(params), config_(config), program_(std::move(program)),
+    : step_(stepKernelFor(config.shape)), params_(params), config_(config),
+      program_(std::move(program)),
       regs_(params.numRegs, 0), scratchpad_(params.scratchpadWords, 0),
       pendingDeq_(params.numInputQueues, 0),
       pendingEnq_(params.numOutputQueues, 0),
@@ -220,7 +221,8 @@ PipelinedPe::queueWaits() const
     return info;
 }
 
-bool
+template <PipelineShape Shape>
+inline bool
 PipelinedPe::dataHazardFor(const Instruction &inst, std::uint64_t id) const
 {
     // An older producer at segment s_p writes back at now + (last -
@@ -230,12 +232,11 @@ PipelinedPe::dataHazardFor(const Instruction &inst, std::uint64_t id) const
     // With a unified X this threshold excludes every older in-flight
     // position, making split-ALU shapes the only ones with register
     // hazards (one bubble each).
-    const unsigned threshold = lastSeg() - (segX1() - segD());
-    for (unsigned s = 0; s < config_.shape.depth(); ++s) {
+    constexpr unsigned threshold =
+        Shape.segX2() - (Shape.segX1() - Shape.segD());
+    for (unsigned s = 0; s <= threshold; ++s) {
         const auto &slot = slots_[s];
         if (!slot.has_value() || slot->id >= id)
-            continue;
-        if (s > threshold)
             continue;
         const Instruction &producer = *slot->inst;
         if (producer.dst.type != DstType::Reg)
@@ -250,7 +251,7 @@ PipelinedPe::dataHazardFor(const Instruction &inst, std::uint64_t id) const
     return false;
 }
 
-Word
+inline Word
 PipelinedPe::readSource(const Source &src, Word imm) const
 {
     switch (src.type) {
@@ -272,7 +273,7 @@ PipelinedPe::readSource(const Source &src, Word imm) const
     panic("readSource: bad source type");
 }
 
-void
+inline void
 PipelinedPe::doDecode(InFlight &entry)
 {
     const Instruction &inst = *entry.inst;
@@ -313,7 +314,7 @@ PipelinedPe::flushSpeculative()
     }
 }
 
-void
+inline void
 PipelinedPe::doWriteback(InFlight &entry)
 {
     const Instruction &inst = *entry.inst;
@@ -433,6 +434,7 @@ PipelinedPe::resolveTriggers()
                                  computeStatusWords());
 }
 
+template <PipelineShape Shape>
 [[gnu::always_inline]] inline void
 PipelinedPe::issue()
 {
@@ -506,9 +508,7 @@ PipelinedPe::issue()
     preds_ = (preds_ | inst.predSet) & ~inst.predClear;
 
     if (inst.writesPredicate()) {
-        const bool predict =
-            config_.predictPredicates && config_.shape.depth() > 1;
-        if (predict) {
+        if (Shape.depth() > 1 && config_.predictPredicates) {
             entry.isPredictor = true;
             bool predicted = predictor_.predict(inst.dst.index);
             if (faultInjector_ && faultInjector_->flipPrediction(peId_)) {
@@ -540,17 +540,37 @@ PipelinedPe::issue()
         haltIssued_ = true;
 
     // Segment-0 work happens in the issue cycle.
-    if (segD() == 0) {
-        if (!dataHazardFor(inst, slots_[0]->id))
-            doDecode(*slots_[0]);
+    if constexpr (Shape.segD() == 0) {
+        if (!dataHazardFor<Shape>(inst, entry.id))
+            doDecode(entry);
         // else: stall in slot 0; retried next cycle.
     }
-    if (lastSeg() == 0)
-        doWriteback(*slots_[0]);
+    if constexpr (Shape.segX2() == 0)
+        doWriteback(entry);
 }
 
+PipelinedPe::StepKernel
+PipelinedPe::stepKernelFor(const PipelineShape &shape)
+{
+    using S = PipelineShape;
+    // Indexed by splitTD, splitDX, splitX as a 3-bit number.
+    static constexpr StepKernel kKernels[] = {
+        &PipelinedPe::stepShape<S{false, false, false}>,
+        &PipelinedPe::stepShape<S{false, false, true}>,
+        &PipelinedPe::stepShape<S{false, true, false}>,
+        &PipelinedPe::stepShape<S{false, true, true}>,
+        &PipelinedPe::stepShape<S{true, false, false}>,
+        &PipelinedPe::stepShape<S{true, false, true}>,
+        &PipelinedPe::stepShape<S{true, true, false}>,
+        &PipelinedPe::stepShape<S{true, true, true}>,
+    };
+    return kKernels[(shape.splitTD ? 4 : 0) + (shape.splitDX ? 2 : 0) +
+                    (shape.splitX ? 1 : 0)];
+}
+
+template <PipelineShape Shape>
 void
-PipelinedPe::step()
+PipelinedPe::stepShape()
 {
     if (halted_)
         return;
@@ -561,23 +581,27 @@ PipelinedPe::step()
     // writebacks. Only the decode and writeback segments ever have
     // per-cycle work, so visit exactly those two (one, when fused)
     // instead of scanning every slot.
-    const unsigned d = segD();
-    const unsigned last = lastSeg();
+    constexpr unsigned d = Shape.segD();
+    constexpr unsigned last = Shape.segX2();
     if ((occupied_ >> last) & 1u) {
         InFlight &slot = *slots_[last];
-        if (last == d && !slot.didD && !dataHazardFor(*slot.inst, slot.id))
-            doDecode(slot);
+        if constexpr (last == d) {
+            if (!slot.didD && !dataHazardFor<Shape>(*slot.inst, slot.id))
+                doDecode(slot);
+        }
         if (slot.didD)
             doWriteback(slot);
     }
-    if (d != last && ((occupied_ >> d) & 1u) != 0) {
-        InFlight &slot = *slots_[d];
-        if (!slot.didD && !dataHazardFor(*slot.inst, slot.id))
-            doDecode(slot);
+    if constexpr (d != last) {
+        if ((occupied_ >> d) & 1u) {
+            InFlight &slot = *slots_[d];
+            if (!slot.didD && !dataHazardFor<Shape>(*slot.inst, slot.id))
+                doDecode(slot);
+        }
     }
 
     // (b) Trigger phase: issue (or attribute the lost cycle).
-    issue();
+    issue<Shape>();
 
     // Stage occupancy after issue and before advance: what each
     // pipeline segment held while this cycle's work executed.
@@ -606,7 +630,7 @@ PipelinedPe::step()
         const std::uint8_t bit = static_cast<std::uint8_t>(1u << s);
         rest &= static_cast<std::uint8_t>(~bit);
         auto &slot = slots_[s];
-        const bool work_done = s != segD() || slot->didD;
+        const bool work_done = s != d || slot->didD;
         if (work_done && (occupied_ & (bit << 1)) == 0) {
             slots_[s + 1] = *slot;
             slot.reset();

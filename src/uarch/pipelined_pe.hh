@@ -29,6 +29,16 @@
  * results, enqueues and datapath predicate writes commit at the end of
  * the segment containing X (or X2). Back-to-back register dependences
  * therefore cost one bubble exactly in the split-ALU (X1|X2) shapes.
+ *
+ * Shape dispatch: step() is compiled once per pipeline shape. The
+ * kernel is a template over the PipelineShape, so the decode and
+ * writeback segments, the register-hazard window and the fused-stage
+ * branches of issue are compile-time constants, and the hot helpers
+ * (status words, operand reads, decode, writeback, hazard check) are
+ * forced inline into each kernel. The constructor picks one of the
+ * eight instantiations and step() calls through that member-function
+ * pointer, so the shape costs one indirect call per cycle instead of
+ * a branch at every segment test.
  */
 
 #ifndef TIA_UARCH_PIPELINED_PE_HH
@@ -126,7 +136,7 @@ class PipelinedPe
     PeWaitInfo queueWaits() const;
 
     /** Advance one clock cycle. No-op once halted. */
-    void step();
+    void step() { (this->*step_)(); }
 
     /**
      * True when stepping this PE again with unchanged queue status
@@ -203,12 +213,18 @@ class PipelinedPe
         bool speculative() const { return specLevel > 0; }
     };
 
-    unsigned segD() const { return config_.shape.segD(); }
-    unsigned segX1() const { return config_.shape.segX1(); }
-    unsigned lastSeg() const { return config_.shape.depth() - 1; }
+    /** One cycle of a PE with pipeline shape @p Shape (see step()). */
+    template <PipelineShape Shape> void stepShape();
+
+    using StepKernel = void (PipelinedPe::*)();
+
+    /** The stepShape instantiation for @p shape. */
+    static StepKernel stepKernelFor(const PipelineShape &shape);
 
     /** Register-dependence stall check for an instruction entering D. */
-    bool dataHazardFor(const Instruction &inst, std::uint64_t id) const;
+    template <PipelineShape Shape>
+    [[gnu::always_inline]] inline bool
+    dataHazardFor(const Instruction &inst, std::uint64_t id) const;
 
     /**
      * Queue status as the scheduler sees it (Section 5.3): live input
@@ -225,7 +241,8 @@ class PipelinedPe
     bool schedOutputHasSpace(unsigned q) const;
 
     /** Pack this cycle's queue status for the trigger table. */
-    QueueStatusWords computeStatusWords() const;
+    [[gnu::always_inline]] inline QueueStatusWords
+    computeStatusWords() const;
 
     /**
      * This cycle's trigger resolution: the trigger table, or the
@@ -234,18 +251,19 @@ class PipelinedPe
     ScheduleResult resolveTriggers();
 
     /** Perform operand capture and dequeues (D-phase work). */
-    void doDecode(InFlight &entry);
+    [[gnu::always_inline]] inline void doDecode(InFlight &entry);
 
     /** Compute, commit and resolve speculation (X/writeback work). */
-    void doWriteback(InFlight &entry);
+    [[gnu::always_inline]] inline void doWriteback(InFlight &entry);
 
     /** Issue logic for this cycle (T-phase work + attribution). */
-    void issue();
+    template <PipelineShape Shape> void issue();
 
     /** Flush all speculative in-flight instructions. */
     void flushSpeculative();
 
-    Word readSource(const Source &src, Word imm) const;
+    [[gnu::always_inline]] inline Word readSource(const Source &src,
+                                                  Word imm) const;
 
     /**
      * Emit one trace event stamped with the cycle step() is executing
@@ -271,6 +289,9 @@ class PipelinedPe
      * fast path and out of its inlining budget.
      */
     [[gnu::cold, gnu::noinline]] ScheduleResult scheduleReference() const;
+
+    /** This PE's shape kernel (stepKernelFor(config_.shape)). */
+    const StepKernel step_;
 
     const ArchParams params_;
     const PeConfig config_;

@@ -2,16 +2,20 @@
  * @file
  * Equivalence tests for the hot-loop optimizations: the
  * predicate-indexed trigger table, the ring-buffer TaggedQueue,
- * and the fabric's idle-PE sleep/wake machinery. Every optimization
- * must be invisible to the architecture — identical schedule outcomes,
- * identical queue semantics, bit-identical cycle counts, counters and
- * hang reports with sleep on and off.
+ * the fabric's idle-PE sleep/wake machinery and run()'s solo-PE loop.
+ * Every optimization must be invisible to the architecture — identical
+ * schedule outcomes, identical queue semantics, bit-identical cycle
+ * counts, counters and hang reports with sleep on and off, and with
+ * run() against stepping every cycle.
  */
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <deque>
 #include <random>
+#include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -19,6 +23,7 @@
 #include "sim/fault.hh"
 #include "sim/queue.hh"
 #include "sim/scheduler.hh"
+#include "step_oracle.hh"
 #include "uarch/cycle_fabric.hh"
 #include "workloads/runner.hh"
 #include "workloads/workload.hh"
@@ -425,20 +430,6 @@ TEST(RingBufferQueue, OverflowStillPanics)
 // Idle-PE sleep/wake: bit-identical runs with the optimization off.
 // ---------------------------------------------------------------------
 
-/** Everything observable about one cycle-accurate execution. */
-struct RunObservation
-{
-    RunStatus status;
-    Cycle cycles;
-    std::vector<PerfCounters> counters;
-    std::vector<std::vector<Word>> regs;
-    std::vector<std::uint64_t> preds;
-    HangReport report;
-    std::vector<Word> memory;
-
-    bool operator==(const RunObservation &) const = default;
-};
-
 RunObservation
 observeRun(const Workload &workload, const PeConfig &uarch, bool sleep,
            FaultInjector *injector = nullptr)
@@ -446,17 +437,8 @@ observeRun(const Workload &workload, const PeConfig &uarch, bool sleep,
     CycleFabric fabric(workload.config, workload.program, uarch, injector);
     fabric.setIdleSleepEnabled(sleep);
     workload.preload(fabric.memory());
-
-    RunObservation obs;
-    obs.status = fabric.run();
-    obs.cycles = fabric.now();
-    for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
-        obs.counters.push_back(fabric.pe(pe).counters());
-        obs.regs.push_back(fabric.pe(pe).regs());
-        obs.preds.push_back(fabric.pe(pe).preds());
-    }
-    obs.report = fabric.hangReport();
-    obs.memory = fabric.memory().snapshot();
+    fabric.run();
+    const RunObservation obs = observe(fabric, fabric.hangReport());
 
     // Host-side accounting must balance: every architectural PE cycle
     // was either executed or skipped-and-accounted.
@@ -541,24 +523,15 @@ TEST(IdlePeSleep, QuiescentStarvationIdentical)
     builder.connect(1, 0, 0, 0); // feed PE0 from PE1, which never fires
     const FabricConfig config = builder.build();
 
-    auto observe = [&](bool sleep) {
+    auto observed = [&](bool sleep) {
         CycleFabric fabric(config, program, {allShapes()[0], false, false,
                                              false});
         fabric.setIdleSleepEnabled(sleep);
-        const RunStatus status = fabric.run();
-        RunObservation obs;
-        obs.status = status;
-        obs.cycles = fabric.now();
-        for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
-            obs.counters.push_back(fabric.pe(pe).counters());
-            obs.regs.push_back(fabric.pe(pe).regs());
-            obs.preds.push_back(fabric.pe(pe).preds());
-        }
-        obs.report = fabric.hangReport();
-        return obs;
+        fabric.run();
+        return observe(fabric, fabric.hangReport());
     };
-    const RunObservation with = observe(true);
-    const RunObservation without = observe(false);
+    const RunObservation with = observed(true);
+    const RunObservation without = observed(false);
     ASSERT_EQ(with, without);
     EXPECT_EQ(with.status, RunStatus::Quiescent);
 }
@@ -670,18 +643,8 @@ observeScheduler(const Workload &workload, const PeConfig &uarch,
     CycleFabric fabric(workload.config, workload.program, uarch);
     fabric.setUseReferenceScheduler(reference);
     workload.preload(fabric.memory());
-
-    RunObservation obs;
-    obs.status = fabric.run();
-    obs.cycles = fabric.now();
-    for (unsigned pe = 0; pe < fabric.numPes(); ++pe) {
-        obs.counters.push_back(fabric.pe(pe).counters());
-        obs.regs.push_back(fabric.pe(pe).regs());
-        obs.preds.push_back(fabric.pe(pe).preds());
-    }
-    obs.report = fabric.hangReport();
-    obs.memory = fabric.memory().snapshot();
-    return obs;
+    fabric.run();
+    return observe(fabric, fabric.hangReport());
 }
 
 TEST(TriggerTable, WorkloadSuiteBitIdenticalToReferenceScheduler)
@@ -721,6 +684,276 @@ TEST(IdlePeSleep, MutatingAccessorWakesParkedPe)
     EXPECT_TRUE(fabric.pe(0).halted());
     EXPECT_EQ(fabric.pe(0).counters().cycles, 11u);
     EXPECT_EQ(fabric.pe(0).counters().retired, 1u);
+}
+
+// ---------------------------------------------------------------------
+// The solo-PE loop in run() must be invisible next to stepping every
+// cycle with step() (tests/step_oracle.hh).
+// ---------------------------------------------------------------------
+
+/** Records every trace event in arrival order. */
+struct RecordingSink : TraceSink
+{
+    std::vector<TraceEvent> events;
+
+    void
+    record(const TraceEvent &event) override
+    {
+        events.push_back(event);
+    }
+};
+
+/** One run of @p workload through run() or the stepping oracle. */
+DrivenRun
+driveWorkload(const Workload &workload, const PeConfig &uarch,
+              bool stepping, const FabricRunOptions &options = {})
+{
+    CycleFabric fabric(workload.config, workload.program, uarch);
+    workload.preload(fabric.memory());
+    return drive(fabric, stepping, options);
+}
+
+TEST(SoloPeLoop, WorkloadSuiteMatchesStepping)
+{
+    const std::vector<Workload> workloads =
+        allWorkloads(WorkloadSizes::small());
+    std::vector<PeConfig> uarchs = allConfigs();
+    uarchs.push_back({allShapes()[7], true, true, true}); // T|D|X1|X2 +P+N+Q
+    for (const Workload &workload : workloads) {
+        for (const PeConfig &uarch : uarchs) {
+            const DrivenRun run = driveWorkload(workload, uarch, false);
+            ASSERT_EQ(run, driveWorkload(workload, uarch, true))
+                << workload.name << " / " << uarch.name();
+            ASSERT_EQ(run.obs.status, RunStatus::Halted)
+                << workload.name << " / " << uarch.name();
+        }
+    }
+}
+
+TEST(SoloPeLoop, TracedRunMatchesStepping)
+{
+    // A trace sink keeps run() off the solo loop; the event stream,
+    // park/wake instants and queue depths included, must still be
+    // exactly the stepping oracle's.
+    const PeConfig uarch{allShapes()[7], true, true, false};
+    for (const Workload &workload : {makeGcd(WorkloadSizes::small()),
+                                     makeBst(WorkloadSizes::small())}) {
+        auto traced = [&](bool stepping) {
+            CycleFabric fabric(workload.config, workload.program, uarch);
+            workload.preload(fabric.memory());
+            RecordingSink sink;
+            fabric.setTraceSink(&sink, TraceLevel::Cycles);
+            const DrivenRun run = drive(fabric, stepping);
+            return std::pair{run, sink.events};
+        };
+        const auto [run, events] = traced(false);
+        const auto [oracle, oracle_events] = traced(true);
+        ASSERT_EQ(run, oracle) << workload.name;
+        ASSERT_EQ(events, oracle_events) << workload.name;
+        EXPECT_FALSE(events.empty()) << workload.name;
+    }
+}
+
+TEST(SoloPeLoop, FaultInjectedRunMatchesStepping)
+{
+    // A fault injector keeps run() off the solo loop: it rolls the
+    // stuck-status verdicts (here of the result channel to the write
+    // port) every cycle, so the mispredictions and the final store
+    // must land on the same cycles as when stepping, untraced and
+    // traced.
+    const Workload workload = makeGcd(WorkloadSizes::small());
+    const PeConfig uarch{allShapes()[7], true, false, true};
+    const FaultPlan plan = FaultPlan::parse(
+        "seed=42;mispredict:pe0@p0.05;stuckempty:ch3@p0.5");
+    for (const bool traced : {false, true}) {
+        auto injected = [&](bool stepping) {
+            FaultInjector injector(plan);
+            CycleFabric fabric(workload.config, workload.program, uarch,
+                               &injector);
+            workload.preload(fabric.memory());
+            RecordingSink sink;
+            if (traced)
+                fabric.setTraceSink(&sink, TraceLevel::Events);
+            const DrivenRun run = drive(fabric, stepping);
+            return std::tuple{run, sink.events,
+                              injector.stats().totalFired()};
+        };
+        const auto [run, events, fired] = injected(false);
+        const auto [oracle, oracle_events, oracle_fired] = injected(true);
+        ASSERT_EQ(run, oracle) << "traced " << traced;
+        ASSERT_EQ(events, oracle_events) << "traced " << traced;
+        EXPECT_EQ(fired, oracle_fired);
+        EXPECT_GT(run.obs.counters.at(workload.workerPe).faultsInjected,
+                  0u);
+        EXPECT_EQ(events.empty(), !traced);
+    }
+}
+
+TEST(SoloPeLoop, HangsClassifiedAsByStepping)
+{
+    ArchParams params;
+    // PE 0 counts to 200 on its own, then waits for a token PE 1 never
+    // sends: the solo loop runs the count, quiescence ends the run.
+    // The last step into the wait is a plain mov, so on deep pipes the
+    // cycle it retires is the PE's first idle one (a park candidate).
+    const std::string counter =
+        "when %p == XXXXXX00: add %r0, %r0, #1; set %p = ZZZZZZ01;\n"
+        "when %p == XXXXXX01: uge %p2, %r0, #200; set %p = ZZZZZZ10;\n"
+        "when %p == XXXXX010: nop; set %p = ZZZZZZ00;\n"
+        "when %p == XXXXX110: mov %r2, %r0; set %p = ZZZZZZ11;\n"
+        "when %p == XXXXX111 with %i0.0: halt;\n";
+    const Program starved = assemble(
+        ".pe 0\n" + counter + ".pe 1\nwhen %p == XXXXXXX1: mov %o0.0, #1;\n",
+        params);
+    FabricBuilder builder(params, 2);
+    builder.connect(1, 0, 0, 0);
+    const FabricConfig two_pes = builder.build();
+    // The same PE alone, its input unbound: without sleep it stays
+    // awake and leaves the solo loop on its first cycle without
+    // activity instead.
+    const Program alone = assemble(counter, params);
+    const FabricConfig one_pe = FabricBuilder(params, 1).build();
+    // Spins forever without a queue event: a livelock at the limit.
+    const Program spinner = assemble(
+        "when %p == XXXXXXX0: add %r0, %r0, #1; set %p = ZZZZZZZ1;\n"
+        "when %p == XXXXXXX1: add %r0, %r0, #1; set %p = ZZZZZZZ0;\n",
+        params);
+
+    for (const PeConfig &uarch : allConfigs()) {
+        // Windows down to 0 pin the watchdog's exact boundary cycle.
+        for (const Cycle window : {Cycle{0}, Cycle{1}, Cycle{7}, Cycle{500}}) {
+            for (const bool sleep : {true, false}) {
+                for (const auto &[config, program] :
+                     {std::pair{&two_pes, &starved},
+                      std::pair{&one_pe, &alone}}) {
+                    CycleFabric fast(*config, *program, uarch);
+                    CycleFabric slow(*config, *program, uarch);
+                    fast.setIdleSleepEnabled(sleep);
+                    slow.setIdleSleepEnabled(sleep);
+                    const FabricRunOptions options =
+                        runBudget(100'000, window);
+                    const DrivenRun run = drive(fast, false, options);
+                    ASSERT_EQ(run, drive(slow, true, options))
+                        << uarch.name() << " window " << window
+                        << " sleep " << sleep << " PEs "
+                        << config->numPes;
+                    EXPECT_NE(run.obs.status, RunStatus::Halted)
+                        << uarch.name() << " window " << window;
+                }
+            }
+        }
+        for (const Cycle limit : {Cycle{100}, Cycle{4099}}) {
+            CycleFabric fast(one_pe, spinner, uarch);
+            CycleFabric slow(one_pe, spinner, uarch);
+            const FabricRunOptions options = runBudget(limit, 50);
+            const DrivenRun run = drive(fast, false, options);
+            ASSERT_EQ(run, drive(slow, true, options)) << uarch.name();
+            EXPECT_EQ(run.obs.status, RunStatus::Livelock) << uarch.name();
+            EXPECT_EQ(run.obs.cycles, limit) << uarch.name();
+        }
+    }
+}
+
+TEST(SoloPeLoop, CycleLimitMidLoopMatchesStepping)
+{
+    // Budgets that land inside gcd's solo stretch and inside bst's
+    // memory round trips (bst leaves the loop on every request) must
+    // end at exactly maxCycles, classified as by stepping — also with
+    // an unfired stop token cutting the loop at every poll.
+    WorkloadSizes sizes = WorkloadSizes::small();
+    sizes.gcdA = 100'000;
+    const std::vector<PeConfig> uarchs = {
+        {allShapes()[7], false, false, false}, // T|D|X1|X2
+        {allShapes()[0], false, true, false},  // TDX +Q
+    };
+    StopSource never;
+    for (const Workload &workload : {makeGcd(sizes), makeBst(sizes)}) {
+        for (const PeConfig &uarch : uarchs) {
+            for (const Cycle limit : {Cycle{1}, Cycle{2}, Cycle{63},
+                                      Cycle{500}, Cycle{4097},
+                                      Cycle{10'007}}) {
+                for (const Cycle window : {Cycle{50}, Cycle{100'000}}) {
+                    FabricRunOptions options = runBudget(limit, window);
+                    const DrivenRun oracle =
+                        driveWorkload(workload, uarch, true, options);
+                    ASSERT_EQ(driveWorkload(workload, uarch, false, options),
+                              oracle)
+                        << workload.name << " / " << uarch.name()
+                        << " limit " << limit << " window " << window;
+                    options.stop = never.token();
+                    options.stopCheckInterval = 100;
+                    ASSERT_EQ(driveWorkload(workload, uarch, false, options),
+                              oracle)
+                        << workload.name << " / " << uarch.name()
+                        << " limit " << limit << " polled";
+                    if (oracle.obs.status != RunStatus::Halted) {
+                        EXPECT_EQ(oracle.obs.cycles, limit);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SoloPeLoop, CancelledGcdStopsAtAPoll)
+{
+    // An endless gcd (b = 1 takes a steps) on the deepest pipeline: a
+    // wall-clock deadline fires mid-run, and run() must return at the
+    // first poll at or after it — a multiple of stopCheckInterval from
+    // the start — in the state stepping reaches in as many cycles.
+    WorkloadSizes sizes = WorkloadSizes::small();
+    sizes.gcdA = 0xffffffffu;
+    sizes.gcdB = 1;
+    const Workload workload = makeGcd(sizes);
+    const PeConfig uarch{allShapes()[7], false, false, false};
+
+    CycleFabric fabric(workload.config, workload.program, uarch);
+    workload.preload(fabric.memory());
+    StopSource source;
+    source.setDeadline(std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(20));
+    FabricRunOptions options;
+    options.stop = source.token();
+    options.stopCheckInterval = 1000;
+    ASSERT_EQ(fabric.run(options), RunStatus::Cancelled);
+    const Cycle stopped = fabric.now();
+    EXPECT_GT(stopped, 0u);
+    EXPECT_EQ(stopped % options.stopCheckInterval, 0u);
+
+    CycleFabric stepped(workload.config, workload.program, uarch);
+    workload.preload(stepped.memory());
+    runByStepping(stepped, stopped);
+    EXPECT_EQ(observe(fabric, fabric.hangReport()),
+              observe(stepped, fabric.hangReport()));
+    EXPECT_EQ(fabric.stepStats(), stepped.stepStats());
+}
+
+TEST(SoloPeLoop, CancelledAndResumedRunMatchesStepping)
+{
+    // Stop at a budget mid-run, cancel there with a fired token (the
+    // first poll is immediate, so no cycle runs), then resume to the
+    // end: the result is the uninterrupted stepping run's.
+    const PeConfig uarch{allShapes()[7], true, true, false};
+    for (const Workload &workload : {makeGcd(WorkloadSizes::small()),
+                                     makeBst(WorkloadSizes::small())}) {
+        CycleFabric fabric(workload.config, workload.program, uarch);
+        workload.preload(fabric.memory());
+        ASSERT_EQ(fabric.run(runBudget(777, 100'000)), RunStatus::StepLimit)
+            << workload.name;
+        EXPECT_EQ(fabric.now(), 777u);
+        StopSource source;
+        source.requestStop();
+        FabricRunOptions cancel;
+        cancel.stop = source.token();
+        ASSERT_EQ(fabric.run(cancel), RunStatus::Cancelled) << workload.name;
+        EXPECT_EQ(fabric.now(), 777u);
+        ASSERT_EQ(fabric.run(), RunStatus::Halted) << workload.name;
+
+        const DrivenRun oracle = driveWorkload(workload, uarch, true);
+        EXPECT_EQ(observe(fabric, fabric.hangReport()), oracle.obs)
+            << workload.name;
+        EXPECT_EQ(fabric.stepStats(), oracle.steps) << workload.name;
+    }
 }
 
 } // namespace

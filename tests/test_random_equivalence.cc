@@ -8,7 +8,9 @@
  * data-dependent branch pairs (exercising predicate hazards,
  * speculation, flush/rollback and the forbidden-instruction rules) —
  * and checks that every one of the 32 microarchitectures produces
- * exactly the architectural state of the functional reference.
+ * exactly the architectural state of the functional reference, and
+ * that run(), whose solo-PE loop takes these single-PE programs, ends
+ * exactly where stepping every cycle does (step_oracle.hh).
  */
 
 #include <random>
@@ -17,6 +19,7 @@
 
 #include "core/assembler.hh"
 #include "sim/functional.hh"
+#include "step_oracle.hh"
 #include "uarch/cycle_fabric.hh"
 
 namespace tia {
@@ -182,9 +185,16 @@ TEST_P(RandomEquivalence, AllMicroarchitecturesMatchFunctional)
         configs.push_back({shape, true, false, true});  // +P+N
         configs.push_back({shape, true, true, true});   // +P+N+Q
     }
+    FabricRunOptions budget;
+    budget.maxCycles = 2'000'000;
     for (const PeConfig &uarch : configs) {
         CycleFabric fabric(config, program, uarch);
-        ASSERT_EQ(fabric.run(2'000'000), RunStatus::Halted)
+        const DrivenRun run = drive(fabric, false, budget);
+        ASSERT_EQ(run.obs.status, RunStatus::Halted)
+            << uarch.name() << "\n"
+            << program.toString();
+        CycleFabric stepped(config, program, uarch);
+        ASSERT_EQ(run, drive(stepped, true, budget))
             << uarch.name() << "\n"
             << program.toString();
         const PipelinedPe &pe = fabric.pe(0);

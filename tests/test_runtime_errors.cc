@@ -141,5 +141,17 @@ TEST(RuntimeErrors, PeIndexOutOfRangeThrows)
     EXPECT_NO_THROW(view.pe(0));
 }
 
+TEST(RuntimeErrors, ChannelIndexOutOfRangeThrows)
+{
+    FabricBuilder builder(ArchParams{}, 2);
+    builder.connect(0, 0, 1, 0);
+    const CycleFabric fabric(builder.build(), Program{},
+                             {allShapes()[0], false, false, false});
+    ASSERT_EQ(fabric.numChannels(), 1u);
+    EXPECT_NO_THROW(fabric.channel(0));
+    EXPECT_THROW(fabric.channel(1), std::out_of_range);
+    EXPECT_THROW(fabric.channel(40), std::out_of_range);
+}
+
 } // namespace
 } // namespace tia
